@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .bernoulli import InvalidDistributionError
 from .copula import GfgmCopula, cdf, pdf, survival, survival_by_cdf
@@ -96,30 +95,23 @@ def rho_c(c: GfgmCopula) -> float:
     return 0.5 * (rho_cL(c) + rho_cU(c))
 
 
-def _tau_kernel(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    g00 = np.full(p.shape, 0.5)
-    g11 = np.full(p.shape, 0.5)
-    g10 = (3.0 - p) / (2.0 * (2.0 - p))
-    g01 = (1.0 - p) / (2.0 * (2.0 - p))
-    return g00, g01, g10, g11
+def _tau_kernel(p):
+    """Per-margin kernel values (G(0,0), G(0,1), G(1,0), G(1,1)) at margin(s) p."""
+    return 0.5, (1.0 - p) / (2.0 * (2.0 - p)), (3.0 - p) / (2.0 * (2.0 - p)), 0.5
 
 
 def tau(c: GfgmCopula) -> float:
-    """Multivariate Kendall's tau via the double sum over atom pairs.
+    """Multivariate Kendall's tau via the bilinear form over atom pairs.
 
-    Cost O(n_atoms^2 d); sparse supports keep this cheap even when 2^{2d}
-    outcome pairs would not be.
+    The density-side atoms act as the points of one blocked contraction
+    (row j holds G_m(0, j_m) and G_m(1, j_m)), so the cost is
+    O(n_atoms^2 d / 4) multiplications.
     """
     pmf = c.bernoulli
     g00, g01, g10, g11 = _tau_kernel(c.p)
     bits = pmf.bits > 0.5
-    total = 0.0
-    for prob_i, row in zip(pmf.probs, bits):
-        # row fixes the cdf-side outcome i; vectorize over density-side j
-        f0 = np.where(row, g10, g00)  # j_m = 0
-        f1 = np.where(row, g11, g01)  # j_m = 1
-        vals = np.where(bits, f1[None, :], f0[None, :]).prod(axis=1)
-        total += float(prob_i) * float(pmf.probs @ vals)
+    inner = pmf.expect_products(np.where(bits, g01, g00), np.where(bits, g11, g10))
+    total = float(pmf.probs @ inner)
     return (2.0**c.d * total - 1.0) / (2.0 ** (c.d - 1) - 1.0)
 
 
@@ -198,6 +190,8 @@ def gauss_legendre_unit(n: int, grading: int = 3) -> tuple[np.ndarray, np.ndarra
     for extreme margins; grading restores fast convergence that plain
     Gauss-Legendre loses on such endpoint behaviour.
     """
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w

@@ -16,7 +16,8 @@ over the atoms of the Bernoulli pmf.  The cdf admits two algebraically equal
 expressions:
 
 * the stochastic form, a mixture over atoms of products of per-margin
-  conditional cdfs (fast, O(#atoms * d) per point);
+  conditional cdfs (fast: O(#atoms * d / 4) multiplications per point
+  through the blocked contraction of :meth:`BernoulliPmf.expect_products`);
 * the natural (polynomial) form with centered coefficients
   nu_S = E[prod_{j in S}(I_j - p_j)/p_j] multiplying
   prod_{j in S}(1 - u_j^{p_j/(1-p_j)}) (an exponential-size verification
@@ -74,7 +75,7 @@ def _as_points(u, d: int) -> tuple[np.ndarray, bool]:
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"expected points of dimension {d}, got shape {pts.shape}")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):  # also rejects NaN
         raise ValueError("points must lie inside the unit cube [0,1]^d")
     return pts, single
 
@@ -149,20 +150,6 @@ class GfgmCopula:
         return survival(self, u)
 
 
-def _mix_over_atoms(pmf: BernoulliPmf, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
-    """E over atoms of prod_m (f1 if bit else f0), for (n, d) factor tables."""
-    n = f0.shape[0]
-    out = np.zeros(n)
-    bits = pmf.bits > 0.5
-    # chunk so the (atoms, n, d) intermediate stays around 32 MB
-    chunk = max(1, int(4e6) // max(1, n * pmf.d))
-    for s in range(0, pmf.n_atoms, chunk):
-        sel = bits[s : s + chunk]
-        fac = np.where(sel[:, None, :], f1[None, :, :], f0[None, :, :])
-        out += pmf.probs[s : s + chunk] @ fac.prod(axis=2)
-    return out
-
-
 def _cdf_factors(c: GfgmCopula, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a0 = _pow_log(pts, c._inv1mp[None, :])  # u^{1/(1-p)}
     a1 = (pts - (1.0 - c.p)[None, :] * a0) / c.p[None, :]
@@ -172,8 +159,7 @@ def _cdf_factors(c: GfgmCopula, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def cdf(c: GfgmCopula, u):
     """Joint cdf C(u), mixture over the Bernoulli atoms (stochastic form)."""
     pts, single = _as_points(u, c.d)
-    a0, a1 = _cdf_factors(c, pts)
-    out = _mix_over_atoms(c.bernoulli, a0, a1)
+    out = c.bernoulli.expect_products(*_cdf_factors(c, pts))
     return float(out[0]) if single else out
 
 
@@ -201,9 +187,7 @@ def pdf(c: GfgmCopula, u):
     """Copula density; boundary points evaluate the continuous extension."""
     pts, single = _as_points(u, c.d)
     upow = _pow_log(pts, (c.p / (1.0 - c.p))[None, :])  # u^{p/(1-p)}
-    b0 = upow / (1.0 - c.p)[None, :]
-    b1 = (1.0 - upow) / c.p[None, :]
-    out = _mix_over_atoms(c.bernoulli, b0, b1)
+    out = c.bernoulli.expect_products(upow / (1.0 - c.p), (1.0 - upow) / c.p)
     return float(out[0]) if single else out
 
 
@@ -215,7 +199,7 @@ def survival(c: GfgmCopula, u):
     """
     pts, single = _as_points(u, c.d)
     a0, a1 = _cdf_factors(c, pts)
-    out = _mix_over_atoms(c.bernoulli, 1.0 - a0, 1.0 - a1)
+    out = c.bernoulli.expect_products(1.0 - a0, 1.0 - a1)
     return float(out[0]) if single else out
 
 
@@ -382,7 +366,7 @@ def marginal_cdf_representation(p: float, i_weight, u):
     if not 0.0 < p < 1.0:
         raise InvalidDistributionError("p must lie in (0, 1)")
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0) or np.any(u > 1):
+    if not np.all((u >= 0.0) & (u <= 1.0)):  # also rejects NaN
         raise ValueError("u must lie in [0, 1]")
     upow = _pow_log(u, 1.0 / (1.0 - p))
     out = w0 * upow + w1 * (u / p - (1.0 - p) / p * upow)

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import hypergeom
 
-from .association import AssociationReport, _prefactor
+from .association import AssociationReport, _prefactor, _tau_kernel
 from .bernoulli import (
     MAX_DENSE_DIMENSION,
     BernoulliPmf,
@@ -342,8 +341,9 @@ def measures_exchangeable(cp: ExchangeableCountPmf) -> AssociationReport:
     """Closed-form measures from the count pmf alone.
 
     The orthant measures cost O(d); tau groups outcome pairs by the overlap
-    of their supports, whose law is hypergeometric, for an O(d^3) total.
-    Matches the generic atom-form computation wherever both are feasible.
+    of their supports, whose law is hypergeometric, C(k,t) C(d-k,l-t)/C(d,l),
+    for O(d s^2) with s support points of the count pmf.  Matches the
+    generic atom-form computation wherever both are feasible.
     """
     d, p = cp.d, cp.p
     pref = _prefactor(d)
@@ -352,22 +352,19 @@ def measures_exchangeable(cp: ExchangeableCountPmf) -> AssociationReport:
         - 1.0
     )
     up = pref * (_weight_class_expectation(cp, 2.0 / (2.0 - p), 1.0 / (2.0 - p)) - 1.0)
-    g00 = 0.5
-    g11 = 0.5
-    g10 = (3.0 - p) / (2.0 * (2.0 - p))
-    g01 = (1.0 - p) / (2.0 * (2.0 - p))
+    g00, g01, g10, g11 = _tau_kernel(p)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(d + 1)])
+
+    def log_comb(n, k):
+        return log_fact[n] - log_fact[k] - log_fact[n - k]
+
     total = 0.0
     support = [k for k in range(d + 1) if cp.q[k] > 0.0]
     for k in support:
         for length in support:
             t = np.arange(max(0, k + length - d), min(k, length) + 1)
-            overlap_law = hypergeom.pmf(t, d, k, length)
-            vals = (
-                g11**t
-                * g10 ** (k - t)
-                * g01 ** (length - t)
-                * g00 ** (d - k - length + t)
-            )
+            overlap_law = np.exp(log_comb(k, t) + log_comb(d - k, length - t) - log_comb(d, length))
+            vals = g11**t * g10 ** (k - t) * g01 ** (length - t) * g00 ** (d - k - length + t)
             total += float(cp.q[k] * cp.q[length]) * float(overlap_law @ vals)
     t_val = (2.0**d * total - 1.0) / (2.0 ** (d - 1) - 1.0)
     return AssociationReport(lo, up, 0.5 * (lo + up), t_val, d, "closed_form")

@@ -151,6 +151,38 @@ class TestExchangeableMeasures:
             assert r1.rho_cU == pytest.approx(r2.rho_cU, abs=1e-11)
             assert r1.tau == pytest.approx(r2.tau, abs=1e-11)
 
+    @pytest.mark.parametrize("d", [40, 120, 200])
+    def test_tau_overlap_law_matches_scipy_hypergeom(self, rng, d):
+        from scipy.stats import hypergeom
+
+        from gfgm import ExchangeableCountPmf, comonotone_count_pmf, end_count_pmf
+        from gfgm.association import _tau_kernel
+
+        q = np.zeros(d + 1)
+        q[rng.choice(d + 1, size=12, replace=False)] = rng.dirichlet(np.ones(12))
+        cps = [end_count_pmf(0.37, d), comonotone_count_pmf(0.6, d), ExchangeableCountPmf(d, q)]
+        for cp in cps:
+            g00, g01, g10, g11 = _tau_kernel(cp.p)
+            total = 0.0
+            support = np.flatnonzero(cp.q > 0.0)
+            for k in support:
+                for length in support:
+                    t = np.arange(max(0, k + length - d), min(k, length) + 1)
+                    free = d - k - length + t
+                    vals = g11**t * g10 ** (k - t) * g01 ** (length - t) * g00**free
+                    total += cp.q[k] * cp.q[length] * (hypergeom.pmf(t, d, k, length) @ vals)
+            want = (2.0**d * total - 1.0) / (2.0 ** (d - 1) - 1.0)
+            assert measures_exchangeable(cp).tau == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+    def test_comonotone_counts_match_maximal_closed_form(self):
+        from gfgm import comonotone_count_pmf
+
+        for p, d in ((0.3, 50), (0.7, 100)):
+            r = measures_exchangeable(comonotone_count_pmf(p, d))
+            m = max_measures_gfgm_p(p, d)
+            assert r.tau == pytest.approx(m.tau, rel=1e-10)
+            assert r.rho_cL == pytest.approx(m.rho_cL, rel=1e-10)
+
     def test_large_dimension_is_cheap(self):
         from gfgm import end_count_pmf
 

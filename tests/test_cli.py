@@ -79,6 +79,12 @@ class TestEval:
         assert code == 2
         assert "admissible interval" in err
 
+    def test_non_finite_point_exit_code(self, capsys):
+        code, out, err = _run(capsys, ["eval", "--p", "0.5,0.5", "-u", "nan,0.5"])
+        assert code == 2
+        assert out == ""
+        assert "unit cube" in err
+
     def test_conflicting_sources_rejected(self, capsys):
         code, _, err = _run(
             capsys,

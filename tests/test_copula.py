@@ -76,6 +76,15 @@ class TestCdf:
         with pytest.raises(ValueError):
             cdf(c, [-0.1, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [cdf, pdf, survival], ids=["cdf", "pdf", "survival"])
+    def test_rejects_non_finite_points(self, fn, bad):
+        c = GfgmCopula.independence([0.5, 0.5])
+        with pytest.raises(ValueError, match="unit cube"):
+            fn(c, [bad, 0.5])
+        with pytest.raises(ValueError, match="unit cube"):
+            fn(c, [[0.2, 0.3], [0.5, bad]])
+
     def test_monotone_in_each_argument(self, rng):
         c = random_copula(rng, 3)
         base = rng.uniform(0.1, 0.8, size=3)
@@ -307,6 +316,11 @@ class TestMarginalRepresentation:
     def test_weight_validation(self):
         with pytest.raises(InvalidDistributionError):
             marginal_cdf_representation(0.5, (0.6, 0.6), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_rejects_points_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            marginal_cdf_representation(0.5, (0.5, 0.5), [0.2, bad])
 
 
 class TestShapeVectorValidation:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli import InvalidDistributionError
-from .copula import GfgmCopula, cdf, pdf, survival, survival_by_cdf
+from .copula import GfgmCopula, cdf, pdf, survival
 
 __all__ = [
     "AssociationReport",
@@ -77,22 +77,24 @@ class AssociationReport:
 
 def rho_cL(c: GfgmCopula) -> float:
     """Lower-orthant Spearman's rho, one pass over the Bernoulli atoms."""
-    p = c.p
-    e = c.bernoulli.expectation_of_products(
-        2.0 * (1.0 - p) / (2.0 - p), (3.0 - 2.0 * p) / (2.0 - p)
-    )
-    return _prefactor(c.d) * (e - 1.0)
+    lower, _ = _orthant_kernels(c.p)
+    return _prefactor(c.d) * (c.bernoulli.expectation_of_products(*lower) - 1.0)
 
 
 def rho_cU(c: GfgmCopula) -> float:
     """Upper-orthant Spearman's rho, one pass over the Bernoulli atoms."""
-    p = c.p
-    e = c.bernoulli.expectation_of_products(2.0 / (2.0 - p), 1.0 / (2.0 - p))
-    return _prefactor(c.d) * (e - 1.0)
+    _, upper = _orthant_kernels(c.p)
+    return _prefactor(c.d) * (c.bernoulli.expectation_of_products(*upper) - 1.0)
 
 
 def rho_c(c: GfgmCopula) -> float:
     return 0.5 * (rho_cL(c) + rho_cU(c))
+
+
+def _orthant_kernels(p):
+    """Per-margin factor pairs (g0, g1) of rho_cL and of rho_cU at margin(s) p."""
+    lower = (2.0 * (1.0 - p) / (2.0 - p), (3.0 - 2.0 * p) / (2.0 - p))
+    return lower, (2.0 / (2.0 - p), 1.0 / (2.0 - p))
 
 
 def _tau_kernel(p):
@@ -266,11 +268,10 @@ def check_concordance(
 
     Evaluates both cdfs and both survival functions on a uniform interior
     grid and reports the dominances that hold up to a -1e-10 slack.  The
-    survival side goes through inclusion-exclusion over cdf calls for
-    d <= 4; on the d in {5, 6} grids that route needs 2^d cdf sweeps, so the
-    algebraically identical conditional-independence form (property-tested
-    against inclusion-exclusion) is used instead.  Copulas with different
-    shape vectors are not dependence-comparable and are rejected.
+    survival side uses the conditional-independence form, one contraction
+    like the cdf (property-tested against inclusion-exclusion).  Copulas
+    with different shape vectors are not dependence-comparable and are
+    rejected.
     """
     if c1.d != c2.d:
         raise InvalidDistributionError("copulas must share the dimension")
@@ -285,9 +286,8 @@ def check_concordance(
     axis = np.arange(1, g + 1) / (g + 1.0)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    surv = survival_by_cdf if d <= 4 else survival
     f1, f2 = cdf(c1, pts), cdf(c2, pts)
-    s1, s2 = surv(c1, pts), surv(c2, pts)
+    s1, s2 = survival(c1, pts), survival(c2, pts)
     return ConcordanceResult(
         cl_forward=bool(np.all(f1 <= f2 + CONCORDANCE_SLACK)),
         cl_backward=bool(np.all(f2 <= f1 + CONCORDANCE_SLACK)),

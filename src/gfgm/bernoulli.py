@@ -117,10 +117,10 @@ class BernoulliPmf:
             raise InvalidDistributionError("outcome mask out of range for dimension")
         if np.unique(masks).size != masks.size:
             raise InvalidDistributionError("duplicate outcome masks")
-        if np.any(probs < -PROB_ATOL):
-            raise InvalidDistributionError("negative probability")
+        if not np.all(probs >= -PROB_ATOL):  # also rejects NaN
+            raise InvalidDistributionError("probabilities must be nonnegative numbers")
         total = float(probs.sum())
-        if abs(total - 1.0) > SUM_SLACK:
+        if not abs(total - 1.0) <= SUM_SLACK:
             raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
         probs = np.clip(probs, 0.0, None) / total
         keep = probs > 0.0
@@ -224,15 +224,9 @@ def marginals(pmf: BernoulliPmf) -> np.ndarray:
 def independent(p) -> BernoulliPmf:
     """Product pmf with the given margins (dense over 2^d outcomes)."""
     p = validate_margins(p)
-    d = p.size
-    if d > MAX_DENSE_DIMENSION:
-        raise InvalidDistributionError(
-            f"independent pmf is dense; d <= {MAX_DENSE_DIMENSION} required"
-        )
-    probs = np.ones(1)
-    for pj in p:
-        probs = np.concatenate([probs * (1.0 - pj), probs * pj])
-    return BernoulliPmf(d, np.arange(1 << d, dtype=np.int64), probs)
+    _check_dense_dim(p.size)
+    probs = _subset_products(np.stack([1.0 - p, p], axis=1)[:, :, None]).ravel()
+    return BernoulliPmf(p.size, np.arange(1 << p.size, dtype=np.int64), probs)
 
 
 def comonotonic(p) -> BernoulliPmf:
@@ -342,34 +336,18 @@ def dense_pmf(pmf: BernoulliPmf) -> np.ndarray:
     return f
 
 
-def _zeta_superset(values: np.ndarray, d: int) -> np.ndarray:
-    """out[s] = sum over t >= s (bitwise supersets) of values[t]."""
-    a = values.copy()
+def _subset_sums(values: np.ndarray, d: int, superset: bool, sign: float) -> np.ndarray:
+    """Zeta (sign +1) or Mobius (sign -1) transform over the subset lattice.
+
+    out[s] = sum of sign^{|t| - |s|} values[t] over the bitwise supersets t
+    of s (``superset``) or over its subsets, one butterfly pass per bit.
+    """
+    a = np.array(values, dtype=float)
+    dst, src = (0, 1) if superset else (1, 0)
     for j in range(d):
         a = a.reshape(-1, 2, 1 << j)
-        a[:, 0, :] += a[:, 1, :]
-        a = a.reshape(-1)
-    return a
-
-
-def _mobius_superset(values: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`_zeta_superset`."""
-    a = values.copy()
-    for j in range(d):
-        a = a.reshape(-1, 2, 1 << j)
-        a[:, 0, :] -= a[:, 1, :]
-        a = a.reshape(-1)
-    return a
-
-
-def _mobius_subset(values: np.ndarray, d: int) -> np.ndarray:
-    """out[s] = sum over t <= s of (-1)^{|s|-|t|} values[t]."""
-    a = values.copy()
-    for j in range(d):
-        a = a.reshape(-1, 2, 1 << j)
-        a[:, 1, :] -= a[:, 0, :]
-        a = a.reshape(-1)
-    return a
+        a[:, dst, :] += sign * a[:, src, :]
+    return a.reshape(-1)
 
 
 def pmf_to_moments(pmf: BernoulliPmf) -> np.ndarray:
@@ -379,8 +357,7 @@ def pmf_to_moments(pmf: BernoulliPmf) -> np.ndarray:
     the empty product, 1.  mu_S equals the probability that all components
     in S are 1, i.e. a superset sum of the pmf.
     """
-    f = dense_pmf(pmf)
-    return _zeta_superset(f, pmf.d)
+    return _subset_sums(dense_pmf(pmf), pmf.d, superset=True, sign=1.0)
 
 
 def moments_to_pmf(moments: np.ndarray) -> BernoulliPmf:
@@ -396,7 +373,7 @@ def moments_to_pmf(moments: np.ndarray) -> BernoulliPmf:
         raise InvalidDistributionError("moment array length must be 2^d with d >= 2")
     if abs(moments[0] - 1.0) > PROB_ATOL:
         raise InvalidDistributionError("empty-subset moment must be 1")
-    f = _mobius_superset(moments, d)
+    f = _subset_sums(moments, d, superset=True, sign=-1.0)
     if np.any(f < -PROB_ATOL):
         raise InvalidDistributionError("moment sequence yields negative mass")
     f = np.clip(f, 0.0, None)
@@ -412,11 +389,8 @@ def nu_all(pmf: BernoulliPmf) -> np.ndarray:
     transform, O(d 2^d).
     """
     p = marginals(pmf)
-    mu = pmf_to_moments(pmf)
-    pprod = np.ones(1)
-    for pj in p:
-        pprod = np.concatenate([pprod, pprod * pj])
-    return _mobius_subset(mu / pprod, pmf.d)
+    pprod = _subset_products(np.stack([np.ones(pmf.d), p], axis=1)[:, :, None]).ravel()
+    return _subset_sums(pmf_to_moments(pmf) / pprod, pmf.d, superset=False, sign=-1.0)
 
 
 # ---------------------------------------------------------------------------

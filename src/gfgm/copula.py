@@ -38,6 +38,9 @@ import numpy as np
 from .bernoulli import (
     BernoulliPmf,
     InvalidDistributionError,
+    _popcount,
+    _subset_products,
+    _subset_sums,
     comonotonic,
     from_theta_bivariate,
     marginals,
@@ -176,9 +179,8 @@ def cdf_natural(c: GfgmCopula, u):
     pts, single = _as_points(u, c.d)
     nu = nu_all(c.bernoulli)
     w = 1.0 - _pow_log(pts, (c.p / (1.0 - c.p))[None, :])  # 1 - u^{p/(1-p)}
-    terms = np.ones((pts.shape[0], 1))
-    for j in range(c.d):
-        terms = np.concatenate([terms, terms * w[:, j : j + 1]], axis=1)
+    # (n, 2^d) subset products of w, one (1, w_j) factor pair per margin
+    terms = _subset_products(np.stack([np.ones_like(w), w], axis=-1)[..., None])[..., 0]
     out = pts.prod(axis=1) * (terms @ nu)
     return float(out[0]) if single else out
 
@@ -206,8 +208,8 @@ def survival(c: GfgmCopula, u):
 def survival_by_cdf(c: GfgmCopula, u):
     """Survival function by inclusion-exclusion over cdf evaluations.
 
-    Exponential in d (2^d cdf calls); the independent route used to
-    cross-check :func:`survival` and by the concordance grid checks.
+    Exponential in d (2^d cdf calls); kept only as the independent oracle
+    that cross-checks :func:`survival`.
     """
     if c.d > NATURAL_FORM_MAX_D:
         raise InvalidDistributionError("inclusion-exclusion survival needs d <= 16")
@@ -277,7 +279,7 @@ class BivariateGfgm:
 
 def huang_kotz_cdf(a: float, b: float, u, v):
     """Reference form uv(1 + a(1-u^b)(1-v^b)) with b > 0."""
-    if b <= 0:
+    if not b > 0:  # also rejects NaN
         raise ValueError("b must be positive")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -336,7 +338,7 @@ class Coxian2Params:
             raise InvalidDistributionError("p must lie in (0, 1)")
         if self.beta1 is None:
             object.__setattr__(self, "beta1", 1.0 / (1.0 - self.p))
-        elif abs(self.beta1 * (1.0 - self.p) - 1.0) > 1e-12:
+        elif not abs(self.beta1 * (1.0 - self.p) - 1.0) <= 1e-12:
             raise InvalidDistributionError("beta1 must equal 1/(1-p)")
         if self.beta2 != 1.0:
             raise InvalidDistributionError("beta2 is fixed at 1")
@@ -346,7 +348,7 @@ class Coxian2Params:
 def coxian2_lst(params: Coxian2Params, t):
     """Laplace-Stieltjes transform of the Coxian-2 distribution at t >= 0."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # also rejects NaN
         raise ValueError("t must be nonnegative")
     b1, b2, p = params.beta1, params.beta2, params.p
     stage1 = b1 / (t + b1)
@@ -361,7 +363,7 @@ def marginal_cdf_representation(p: float, i_weight, u):
     other weights give the conditional pieces used by the joint cdf.
     """
     w0, w1 = float(i_weight[0]), float(i_weight[1])
-    if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-12:
+    if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= 1e-12):  # also rejects NaN
         raise InvalidDistributionError("weights must be nonnegative and sum to 1")
     if not 0.0 < p < 1.0:
         raise InvalidDistributionError("p must lie in (0, 1)")
@@ -386,14 +388,9 @@ def fgm_thetas(pmf: BernoulliPmf) -> np.ndarray:
     theta_S(pmf of 1-I) equals nu_S(pmf of I) when all p_j = 1/2.
     """
     mu = pmf_to_moments(pmf)
-    weights = (-2.0) ** np.bitwise_count(np.arange(mu.size, dtype=np.uint64)).astype(int)
-    a = mu * weights
+    weights = (-2.0) ** _popcount(np.arange(mu.size))
     # subset zeta: theta_S = sum over T subseteq S of (-2)^{|T|} mu_T
-    for j in range(pmf.d):
-        a = a.reshape(-1, 2, 1 << j)
-        a[:, 1, :] += a[:, 0, :]
-        a = a.reshape(-1)
-    return a
+    return _subset_sums(mu * weights, pmf.d, superset=False, sign=1.0)
 
 
 def fgm_natural_cdf(thetas: np.ndarray, u):
@@ -404,9 +401,7 @@ def fgm_natural_cdf(thetas: np.ndarray, u):
         raise ValueError("theta array length must be a power of two")
     pts, single = _as_points(u, d)
     w = 1.0 - pts
-    terms = np.ones((pts.shape[0], 1))
-    for j in range(d):
-        terms = np.concatenate([terms, terms * w[:, j : j + 1]], axis=1)
+    terms = _subset_products(np.stack([np.ones_like(w), w], axis=-1)[..., None])[..., 0]
     coeffs = thetas.copy()
     coeffs[0] = 1.0
     # singletons do not belong to the copula parameterization

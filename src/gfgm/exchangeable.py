@@ -22,11 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import AssociationReport, _prefactor, _tau_kernel
+from .association import AssociationReport, _orthant_kernels, _prefactor, _tau_kernel
 from .bernoulli import (
-    MAX_DENSE_DIMENSION,
+    PROB_ATOL,
+    SUM_SLACK,
     BernoulliPmf,
     InvalidDistributionError,
+    _check_dense_dim,
+    _popcount,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
 
@@ -47,9 +50,6 @@ __all__ = [
     "parse_exchangeable_spec",
 ]
 
-SUM_SLACK = 1e-9
-MASS_ATOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class ExchangeableCountPmf:
@@ -68,14 +68,14 @@ class ExchangeableCountPmf:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (self.d + 1,):
             raise InvalidDistributionError(f"count pmf needs d+1 = {self.d + 1} entries")
-        if np.any(q < -MASS_ATOL):
-            raise InvalidDistributionError("negative count mass")
+        if not np.all(q >= -PROB_ATOL):  # also rejects NaN
+            raise InvalidDistributionError("count masses must be nonnegative numbers")
         total = float(q.sum())
-        if abs(total - 1.0) > SUM_SLACK:
+        if not abs(total - 1.0) <= SUM_SLACK:
             raise InvalidDistributionError(f"count masses sum to {total}, not 1")
         q = np.clip(q, 0.0, None) / total
         object.__setattr__(self, "q", q)
-        if not MASS_ATOL < self.p < 1.0 - MASS_ATOL:
+        if not PROB_ATOL < self.p < 1.0 - PROB_ATOL:
             raise InvalidDistributionError("margin p = E[N]/d must lie strictly in (0, 1)")
 
     @property
@@ -89,12 +89,9 @@ class ExchangeableCountPmf:
 
 def expand(cp: ExchangeableCountPmf) -> BernoulliPmf:
     """Atom-form pmf: every weight-k mask gets q_k / C(d, k)."""
-    if cp.d > MAX_DENSE_DIMENSION:
-        raise InvalidDistributionError(
-            f"expansion enumerates 2^d outcomes; d <= {MAX_DENSE_DIMENSION} required"
-        )
+    _check_dense_dim(cp.d)
     all_masks = np.arange(1 << cp.d, dtype=np.int64)
-    weights = np.bitwise_count(all_masks.astype(np.uint64)).astype(np.int64)
+    weights = _popcount(all_masks)
     binom = np.array([math.comb(cp.d, k) for k in range(cp.d + 1)], dtype=float)
     probs = cp.q[weights] / binom[weights]
     keep = probs > 0.0
@@ -107,7 +104,7 @@ def count_pmf_of(pmf: BernoulliPmf, tol: float = 1e-12) -> ExchangeableCountPmf:
     Rejects pmfs whose mass is not constant across each weight class, i.e.
     pmfs that are not exchangeable.
     """
-    weights = np.bitwise_count(pmf.masks.astype(np.uint64)).astype(np.int64)
+    weights = _popcount(pmf.masks)
     q = np.zeros(pmf.d + 1)
     for k in range(pmf.d + 1):
         sel = weights == k
@@ -214,9 +211,9 @@ class MixtureSpec:
             m = np.asarray(self.moments, dtype=float)
             if m.ndim != 1 or m.size < 2:
                 raise InvalidDistributionError("need moments E[L^k] for k = 0..K, K >= 1")
-            if abs(m[0] - 1.0) > MASS_ATOL:
+            if not abs(m[0] - 1.0) <= PROB_ATOL:
                 raise InvalidDistributionError("zeroth moment must be 1")
-            if np.any(m < -MASS_ATOL) or np.any(m > 1.0 + MASS_ATOL):
+            if not np.all((m >= -PROB_ATOL) & (m <= 1.0 + PROB_ATOL)):  # also rejects NaN
                 raise InvalidDistributionError("moments of a [0,1] variable lie in [0,1]")
             object.__setattr__(self, "moments", m)
         else:
@@ -224,9 +221,9 @@ class MixtureSpec:
             weights = np.asarray(self.weights, dtype=float)
             if nodes.shape != weights.shape or nodes.ndim != 1:
                 raise InvalidDistributionError("nodes and weights must be congruent 1-D")
-            if np.any(nodes < 0.0) or np.any(nodes > 1.0):
+            if not np.all((nodes >= 0.0) & (nodes <= 1.0)):  # also rejects NaN
                 raise InvalidDistributionError("nodes must lie in [0, 1]")
-            if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > SUM_SLACK:
+            if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= SUM_SLACK):
                 raise InvalidDistributionError("weights must be a probability vector")
             object.__setattr__(self, "nodes", nodes)
             object.__setattr__(self, "weights", weights / weights.sum())
@@ -261,8 +258,8 @@ class MixtureSpec:
 
 def beta_moments(alpha: float, beta: float, order: int) -> np.ndarray:
     """E[Lambda^k] for Lambda ~ Beta(alpha, beta), k = 0..order."""
-    if alpha <= 0 or beta <= 0:
-        raise InvalidDistributionError("Beta parameters must be positive")
+    if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):  # also rejects NaN
+        raise InvalidDistributionError("Beta parameters must be positive and finite")
     m = np.ones(order + 1)
     for k in range(1, order + 1):
         m[k] = m[k - 1] * (alpha + k - 1) / (alpha + beta + k - 1)
@@ -290,7 +287,7 @@ def mixture_count_pmf(spec: MixtureSpec, d: int) -> ExchangeableCountPmf:
                 for r in range(d - k + 1)
             ]
             q[k] = math.comb(d, k) * math.fsum(terms)
-    if np.any(q < -MASS_ATOL):
+    if np.any(q < -PROB_ATOL):
         raise InvalidDistributionError("moment sequence yields negative count mass")
     return ExchangeableCountPmf(d, q)
 
@@ -347,11 +344,9 @@ def measures_exchangeable(cp: ExchangeableCountPmf) -> AssociationReport:
     """
     d, p = cp.d, cp.p
     pref = _prefactor(d)
-    lo = pref * (
-        _weight_class_expectation(cp, 2.0 * (1.0 - p) / (2.0 - p), (3.0 - 2.0 * p) / (2.0 - p))
-        - 1.0
-    )
-    up = pref * (_weight_class_expectation(cp, 2.0 / (2.0 - p), 1.0 / (2.0 - p)) - 1.0)
+    lower, upper = _orthant_kernels(p)
+    lo = pref * (_weight_class_expectation(cp, *lower) - 1.0)
+    up = pref * (_weight_class_expectation(cp, *upper) - 1.0)
     g00, g01, g10, g11 = _tau_kernel(p)
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(d + 1)])
 

@@ -1,5 +1,7 @@
 """Multivariate Bernoulli pmfs: construction, extremes, moments."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,12 @@ from gfgm.bernoulli import (
     bitstring_to_mask,
     format_pmf_text,
     mask_to_bitstring,
+    nu_all,
     parse_pmf_text,
 )
+from gfgm.copula import fgm_thetas
 from gfgm.exchangeable import ExchangeableCountPmf, expand
+from gfgm.sampling import sample_bernoulli
 
 from conftest import random_dense_pmf, random_sparse_pmf
 
@@ -41,6 +46,11 @@ class TestConstruction:
     def test_rejects_negative_mass(self):
         with pytest.raises(InvalidDistributionError):
             BernoulliPmf.from_bitstrings({"00": 1.1, "11": -0.1})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        with pytest.raises(InvalidDistributionError, match="nonnegative numbers|sum to"):
+            BernoulliPmf(2, np.array([0, 1, 3]), np.array([0.5, bad, 0.5]))
 
     def test_rejects_duplicate_masks(self):
         with pytest.raises(InvalidDistributionError):
@@ -257,3 +267,42 @@ class TestTextFormat:
 
     def test_bitstring_round_trip(self):
         assert mask_to_bitstring(bitstring_to_mask("0110"), 4) == "0110"
+
+
+class TestByteStability:
+    """Subset-lattice outputs and sampler streams pinned bit for bit.
+
+    The inputs are small rationals and the transforms use only + - * / and
+    exact powers of -2, so the SHA-256 digests do not depend on the
+    platform's libm.  A changed digest means a changed GENERATOR_ID stream
+    or a changed summation order.
+    """
+
+    DIGESTS = {
+        "independent": "6baf1acef3cc190fccef2e0d5f6ca98aed248e64e4103e81b4c798357baf064a",
+        "pmf_to_moments": "244af6ce5771d1cb77af0770d2b0dfa66819d6af115ad76beff787b20c4872cf",
+        "moments_to_pmf": "46306b133b9bad17acdd88289e62b02101e2073694a3505cc78f2f3b272dcc60",
+        "nu_all": "fb8789b1f9529d05b73c52606efa56d01a840e97facacc2ce3a94c6caeff2b68",
+        "fgm_thetas": "8c115462c9c728e0cbf584f1d860f5d3aebf33b310306b1e2083b49f45f59975",
+        "sample_bernoulli": "fe0135b557a152b69a1eff0a85147506f943d8106a654024d7308207bd7a579e",
+        "sample_bernoulli_independent": "3b82de2a1c3e02abe40a2413653593a41cd1e7774aa1b341c1ada0fbd4b91784",
+    }
+
+    @staticmethod
+    def _outputs():
+        pmf = BernoulliPmf(6, np.arange(64), np.arange(1, 65) / 2080.0)
+        ind = independent(np.arange(1, 7) / 8.0)
+        return {
+            "independent": ind.probs,
+            "pmf_to_moments": pmf_to_moments(pmf),
+            "moments_to_pmf": moments_to_pmf(pmf_to_moments(pmf)).probs,
+            "nu_all": nu_all(pmf),
+            "fgm_thetas": fgm_thetas(pmf),
+            "sample_bernoulli": sample_bernoulli(pmf, 1000, seed=11),
+            "sample_bernoulli_independent": sample_bernoulli(ind, 1000, seed=12),
+        }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        raw = np.ascontiguousarray(self._outputs()[name]).tobytes()
+        assert hashlib.sha256(raw).hexdigest() == self.DIGESTS[name]

@@ -148,6 +148,12 @@ class TestMeasures:
         assert float(rows["tau"][4]) == pytest.approx(0.2222, abs=5e-5)
         assert rows["rho_c"][1] == "closed_form"
 
+    def test_non_finite_beta_spec_exit_code(self, capsys):
+        code, out, err = _run(capsys, ["measures", "--d", "3", "--exchangeable", "beta:nan,2"])
+        assert code == 2
+        assert out == ""
+        assert "Beta parameters" in err
+
     def test_verify_passes_for_honest_copula(self, tmp_path):
         out = tmp_path / "m.csv"
         code = main(

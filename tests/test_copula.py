@@ -171,7 +171,7 @@ class TestDIncreasing:
 
 
 class TestSurvival:
-    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_dual_routes_agree(self, rng, d):
         c = random_copula(rng, d, sparse=d > 4)
         pts = rng.uniform(0, 1, size=(30, d))
@@ -219,6 +219,11 @@ class TestBivariateClosedForm:
         assert BivariateGfgm(0.3, 0.3, 0.5).cdf(0.3, 0.6) == pytest.approx(
             huang_kotz_cdf(0.5, 0.3 / 0.7, 0.3, 0.6), abs=1e-15
         )
+
+    @pytest.mark.parametrize("b", [0.0, np.nan])
+    def test_huang_kotz_rejects_bad_exponent(self, b):
+        with pytest.raises(ValueError, match="positive"):
+            huang_kotz_cdf(0.5, b, 0.3, 0.6)
 
     def test_round_trip_from_pmf(self, rng):
         p1, p2 = 0.35, 0.65
@@ -293,9 +298,17 @@ class TestCoxian:
         with pytest.raises(InvalidDistributionError):
             Coxian2Params(0.25, beta1=2.0)
         with pytest.raises(InvalidDistributionError):
+            Coxian2Params(0.25, beta1=np.nan)
+        with pytest.raises(InvalidDistributionError):
             Coxian2Params(0.25, beta2=3.0)
         with pytest.raises(ValueError):
             coxian2_lst(Coxian2Params(0.5), -1.0)
+
+    def test_lst_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            coxian2_lst(Coxian2Params(0.3), np.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            coxian2_lst(Coxian2Params(0.3), [1.0, np.nan])
 
 
 class TestMarginalRepresentation:
@@ -316,6 +329,8 @@ class TestMarginalRepresentation:
     def test_weight_validation(self):
         with pytest.raises(InvalidDistributionError):
             marginal_cdf_representation(0.5, (0.6, 0.6), 0.5)
+        with pytest.raises(InvalidDistributionError):
+            marginal_cdf_representation(0.5, (np.nan, 0.5), 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
     def test_rejects_points_outside_unit_interval(self, bad):

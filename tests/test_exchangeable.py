@@ -56,6 +56,11 @@ class TestCountPmf:
         with pytest.raises(InvalidDistributionError):
             ExchangeableCountPmf(3, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        with pytest.raises(InvalidDistributionError, match="nonnegative numbers|sum to"):
+            ExchangeableCountPmf(3, np.array([0.25, bad, 0.25, 0.5]))
+
 
 class TestExpand:
     def test_comonotone_d2(self):
@@ -206,6 +211,23 @@ class TestMixtures:
         spec = MixtureSpec.from_moments([1.0, 0.3, 0.9])
         with pytest.raises(InvalidDistributionError):
             mixture_count_pmf(spec, 2)
+
+    def test_non_finite_moments_rejected(self):
+        with pytest.raises(InvalidDistributionError, match=r"lie in \[0,1\]"):
+            mixture_copula_cdf(MixtureSpec.from_moments([1.0, 0.5, np.nan]), 2, [0.5, 0.5])
+        with pytest.raises(InvalidDistributionError, match="zeroth moment"):
+            MixtureSpec.from_moments([np.nan, 0.5, 0.3])
+
+    def test_non_finite_quadrature_rejected(self):
+        with pytest.raises(InvalidDistributionError, match="nodes"):
+            MixtureSpec.from_quadrature([np.nan, 0.5], [0.5, 0.5])
+        with pytest.raises(InvalidDistributionError, match="probability vector"):
+            MixtureSpec.from_quadrature([0.2, 0.5], [np.nan, 0.5])
+
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 2.0), (2.0, np.nan), (np.inf, 2.0)])
+    def test_non_finite_beta_parameters_rejected(self, alpha, beta):
+        with pytest.raises(InvalidDistributionError, match="Beta parameters"):
+            beta_moments(alpha, beta, 4)
 
     def test_two_path_cdf_equality(self, rng):
         for d in (2, 3, 4, 6):

@@ -103,24 +103,31 @@ def _tau_kernel(p):
 
 
 def tau(c: GfgmCopula) -> float:
-    """Multivariate Kendall's tau via the bilinear form over atom pairs.
+    """Multivariate Kendall's tau, from the one contraction of :func:`measures`."""
+    return measures(c).tau
 
-    The density-side atoms act as the points of one blocked contraction
-    (row j holds G_m(0, j_m) and G_m(1, j_m)), so the cost is
-    O(n_atoms^2 d / 4) multiplications.
+
+def _report(law, p, on, weights) -> AssociationReport:
+    """All four measures from one ``law.expect_products`` call.
+
+    Two orthant rows, then one tau row per density-side outcome (a boolean
+    row of ``on``, with mass in ``weights``) holding G_m(0, on_m), G_m(1, on_m).
     """
-    pmf = c.bernoulli
-    g00, g01, g10, g11 = _tau_kernel(c.p)
-    bits = pmf.bits > 0.5
-    inner = pmf.expect_products(np.where(bits, g01, g00), np.where(bits, g11, g10))
-    total = float(pmf.probs @ inner)
-    return (2.0**c.d * total - 1.0) / (2.0 ** (c.d - 1) - 1.0)
+    d = on.shape[1]
+    orthant = np.reshape(_orthant_kernels(p), (2, 2, -1)) * np.ones(d)  # (kernel, side, m)
+    g00, g01, g10, g11 = _tau_kernel(p)
+    f0 = np.vstack([orthant[:, 0], np.where(on, g01, g00)])
+    f1 = np.vstack([orthant[:, 1], np.where(on, g11, g10)])
+    e = law.expect_products(f0, f1)
+    lo, up = (_prefactor(d) * (e[:2] - 1.0)).tolist()
+    t = (2.0**d * float(weights @ e[2:]) - 1.0) / (2.0 ** (d - 1) - 1.0)
+    return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
 
 
 def measures(c: GfgmCopula) -> AssociationReport:
-    """Closed-form report of all four measures."""
-    lo, up = rho_cL(c), rho_cU(c)
-    return AssociationReport(lo, up, 0.5 * (lo + up), tau(c), c.d, "closed_form")
+    """Closed-form report of all four measures, O(n_atoms^2 d / 4) multiplications."""
+    pmf = c.bernoulli
+    return _report(pmf, c.p, pmf.bits > 0.5, pmf.probs)
 
 
 def max_measures_gfgm_p(p: float, d: int) -> AssociationReport:

@@ -115,19 +115,19 @@ class BernoulliPmf:
             raise InvalidDistributionError("pmf needs at least one atom")
         if np.any(masks < 0) or np.any(masks >= (1 << self.d)):
             raise InvalidDistributionError("outcome mask out of range for dimension")
-        if np.unique(masks).size != masks.size:
+        order = np.argsort(masks)
+        masks = masks[order]
+        if np.any(masks[1:] == masks[:-1]):
             raise InvalidDistributionError("duplicate outcome masks")
         if not np.all(probs >= -PROB_ATOL):  # also rejects NaN
             raise InvalidDistributionError("probabilities must be nonnegative numbers")
-        total = float(probs.sum())
+        total = float(probs.sum())  # in input order
         if not abs(total - 1.0) <= SUM_SLACK:
             raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
-        probs = np.clip(probs, 0.0, None) / total
+        probs = np.clip(probs[order], 0.0, None) / total
         keep = probs > 0.0
-        masks, probs = masks[keep], probs[keep]
-        order = np.argsort(masks)
-        object.__setattr__(self, "masks", masks[order])
-        object.__setattr__(self, "probs", probs[order])
+        object.__setattr__(self, "masks", masks[keep])
+        object.__setattr__(self, "probs", probs[keep])
         m = marginals(self)
         if np.any(m <= PROB_ATOL) or np.any(m >= 1.0 - PROB_ATOL):
             raise InvalidDistributionError("derived margins must lie strictly in (0, 1)")

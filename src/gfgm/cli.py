@@ -73,7 +73,7 @@ def _cmd_eval(args) -> int:
     values = cdf_natural(c, pts) if args.natural else cdf(c, pts)
     if args.verify:
         gap = float(np.max(np.abs(cdf(c, pts) - cdf_natural(c, pts))))
-        if gap > 1e-12:
+        if not gap <= 1e-12:  # a NaN gap fails too
             raise OracleDisagreement(
                 f"stochastic and natural cdf forms differ by {gap:.3e} (> 1e-12)"
             )
@@ -124,7 +124,7 @@ def _cmd_measures(args) -> int:
             abs(closed.rho_cU - oracle.rho_cU),
             abs(closed.tau - oracle.tau),
         )
-        if gap > 1e-6:
+        if not gap <= 1e-6:  # a NaN gap fails too
             raise OracleDisagreement(
                 f"closed-form and quadrature measures differ by {gap:.3e} (> 1e-6)"
             )

@@ -3,8 +3,8 @@
 An exchangeable Bernoulli vector is determined by the law of its count
 N = I_1 + ... + I_d: every outcome of weight k carries mass q_k / C(d, k).
 That O(d) representation is the primary object here; expansion to atom form
-is lazy and gated, and association measures are computed by weight-class
-summation so that large d never touches 2^d outcomes.
+is lazy and gated, and the weight-class sums of ``expect_products`` give the
+association measures and the mixture-copula cdf without touching 2^d outcomes.
 
 The module also covers the geometry of the exchangeable class for a fixed
 margin p: its extremal count pmfs (two-point laws straddling pd, plus the
@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .association import AssociationReport, _orthant_kernels, _prefactor, _tau_kernel
+from .association import AssociationReport, _report
 from .bernoulli import (
     PROB_ATOL,
     SUM_SLACK,
@@ -86,14 +87,39 @@ class ExchangeableCountPmf:
     def mean(self) -> float:
         return float(np.arange(self.d + 1) @ self.q)
 
+    @cached_property
+    def _outcome_mass(self) -> np.ndarray:
+        """q_k / C(d, k): the mass of each single outcome of weight k."""
+        return self.q / np.array([math.comb(self.d, k) for k in range(self.d + 1)], dtype=float)
+
+    def expect_products(self, f0, f1) -> np.ndarray:
+        """E[prod_j f(i, j, I_j)] per point i, as :meth:`BernoulliPmf.expect_products`.
+
+        Weight class k weighs its sum of products by q_k / C(d, k), O(n d^2).
+        """
+        # exact power-of-two scaling to |f0| + |f1| in [1, 2): sums stay finite to d ~ 1000
+        shift = np.frexp(np.abs(f0) + np.abs(f1))[1] - 1
+        sums = _weight_class_sums(np.ldexp(f0, -shift), np.ldexp(f1, -shift))
+        return np.ldexp(sums @ self._outcome_mass, shift.sum(axis=1))
+
+
+def _weight_class_sums(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """(n, d+1) coefficients of t^k in prod_j (f0[:, j] + t f1[:, j]), j in order."""
+    n, d = f0.shape
+    out = np.zeros((n, d + 1))
+    out[:, 0] = 1.0
+    for m in range(d):
+        upper = out[:, : m + 1].copy()
+        out[:, : m + 1] *= f0[:, m : m + 1]
+        out[:, 1 : m + 2] += upper * f1[:, m : m + 1]
+    return out
+
 
 def expand(cp: ExchangeableCountPmf) -> BernoulliPmf:
     """Atom-form pmf: every weight-k mask gets q_k / C(d, k)."""
     _check_dense_dim(cp.d)
     all_masks = np.arange(1 << cp.d, dtype=np.int64)
-    weights = _popcount(all_masks)
-    binom = np.array([math.comb(cp.d, k) for k in range(cp.d + 1)], dtype=float)
-    probs = cp.q[weights] / binom[weights]
+    probs = cp._outcome_mass[_popcount(all_masks)]
     keep = probs > 0.0
     return BernoulliPmf(cp.d, all_masks[keep], probs[keep])
 
@@ -295,9 +321,9 @@ def mixture_count_pmf(spec: MixtureSpec, d: int) -> ExchangeableCountPmf:
 def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
     """Mixture-copula cdf evaluated through the moments of the mixing law.
 
-    Expands prod_m (x_m - (Lambda/p)(x_m - u_m)), x_m = u_m^{1/(1-p)}, as a
-    polynomial in Lambda and contracts it with E[Lambda^k]; equals the cdf of
-    the expanded exchangeable copula.
+    Expands prod_m (x_m + Lambda (u_m - x_m)/p), x_m = u_m^{1/(1-p)}, as a
+    polynomial in Lambda (the weight-class sums) and contracts it with
+    E[Lambda^k]; equals the cdf of the expanded exchangeable copula.
     """
     d = int(d)
     p = spec.moment(1)
@@ -305,64 +331,40 @@ def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
         raise InvalidDistributionError("mixture mean E[Lambda] must lie in (0, 1)")
     pts, single = _as_points(u, d)
     x = _pow_log(pts, 1.0 / (1.0 - p))
-    y = (x - pts) / p
-    n = pts.shape[0]
-    poly = np.zeros((n, d + 1))
-    poly[:, 0] = 1.0
-    for m in range(d):
-        upper = poly[:, : m + 1].copy()
-        poly[:, : m + 1] *= x[:, m : m + 1]
-        poly[:, 1 : m + 2] -= upper * y[:, m : m + 1]
     mom = np.array([spec.moment(k) for k in range(d + 1)])
-    out = poly @ mom
+    out = _weight_class_sums(x, (pts - x) / p) @ mom
     return float(out[0]) if single else out
+
+
+def _beta_binomial_count_pmf(alpha: float, beta: float, d: int) -> ExchangeableCountPmf:
+    """Beta-binomial count pmf: q_0 = E[(1 - Lambda)^d], then q_{k+1}/q_k.
+
+    Every factor is positive, so nothing cancels (the moment route's
+    alternating sum does from d ~ 20).
+    """
+    q0 = beta_moments(beta, alpha, d)[-1]  # 1 - Lambda ~ Beta(beta, alpha)
+    k = np.arange(d)
+    ratios = (d - k) * (alpha + k) / ((k + 1) * (beta + d - 1 - k))
+    return ExchangeableCountPmf(d, q0 * np.concatenate(([1.0], np.cumprod(ratios))))
 
 
 def beta_mixture_copula(alpha: float, beta: float, d: int) -> GfgmCopula:
     """Exchangeable copula mixed by Beta(alpha, beta); margin alpha/(alpha+beta)."""
-    spec = MixtureSpec.beta(alpha, beta, int(d))
-    return GfgmCopula.from_pmf(expand(mixture_count_pmf(spec, int(d))))
+    return GfgmCopula.from_pmf(expand(_beta_binomial_count_pmf(alpha, beta, int(d))))
 
 
 # ---------------------------------------------------------------------------
-# Weight-class association measures (no 2^d expansion)
+# Association measures from the count law (no 2^d expansion)
 # ---------------------------------------------------------------------------
-
-def _weight_class_expectation(cp: ExchangeableCountPmf, g0: float, g1: float) -> float:
-    """E[prod_m g(I_m)] = sum_k q_k g1^k g0^{d-k} for an exchangeable vector."""
-    k = np.arange(cp.d + 1)
-    return float(cp.q @ (g1**k * g0 ** (cp.d - k)))
-
 
 def measures_exchangeable(cp: ExchangeableCountPmf) -> AssociationReport:
-    """Closed-form measures from the count pmf alone.
+    """Closed-form measures from the count pmf alone, O(s d^2) for s support points.
 
-    The orthant measures cost O(d); tau groups outcome pairs by the overlap
-    of their supports, whose law is hypergeometric, C(k,t) C(d-k,l-t)/C(d,l),
-    for O(d s^2) with s support points of the count pmf.  Matches the
-    generic atom-form computation wherever both are feasible.
+    Tau's inner expectation depends on an outcome only through its weight k,
+    so the outcome with its first k components on stands for its class.
     """
-    d, p = cp.d, cp.p
-    pref = _prefactor(d)
-    lower, upper = _orthant_kernels(p)
-    lo = pref * (_weight_class_expectation(cp, *lower) - 1.0)
-    up = pref * (_weight_class_expectation(cp, *upper) - 1.0)
-    g00, g01, g10, g11 = _tau_kernel(p)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(d + 1)])
-
-    def log_comb(n, k):
-        return log_fact[n] - log_fact[k] - log_fact[n - k]
-
-    total = 0.0
-    support = [k for k in range(d + 1) if cp.q[k] > 0.0]
-    for k in support:
-        for length in support:
-            t = np.arange(max(0, k + length - d), min(k, length) + 1)
-            overlap_law = np.exp(log_comb(k, t) + log_comb(d - k, length - t) - log_comb(d, length))
-            vals = g11**t * g10 ** (k - t) * g01 ** (length - t) * g00 ** (d - k - length + t)
-            total += float(cp.q[k] * cp.q[length]) * float(overlap_law @ vals)
-    t_val = (2.0**d * total - 1.0) / (2.0 ** (d - 1) - 1.0)
-    return AssociationReport(lo, up, 0.5 * (lo + up), t_val, d, "closed_form")
+    support = np.flatnonzero(cp.q)
+    return _report(cp, cp.p, np.arange(cp.d) < support[:, None], cp.q[support])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,5 @@ def parse_exchangeable_spec(text: str, d: int | None = None) -> ExchangeableCoun
         return comonotone_count_pmf(float(arg), d)
     if kind == "beta":
         alpha_s, beta_s = arg.split(",")
-        return mixture_count_pmf(
-            MixtureSpec.beta(float(alpha_s), float(beta_s), d), d
-        )
+        return _beta_binomial_count_pmf(float(alpha_s), float(beta_s), d)
     raise InvalidDistributionError(f"unknown exchangeable spec kind {kind!r}")

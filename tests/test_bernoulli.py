@@ -53,8 +53,10 @@ class TestConstruction:
             BernoulliPmf(2, np.array([0, 1, 3]), np.array([0.5, bad, 0.5]))
 
     def test_rejects_duplicate_masks(self):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(InvalidDistributionError, match="duplicate"):
             BernoulliPmf(2, np.array([0, 0, 3]), np.array([0.25, 0.25, 0.5]))
+        with pytest.raises(InvalidDistributionError, match="duplicate"):
+            BernoulliPmf(2, np.array([3, 0, 3]), np.array([0.25, 0.25, 0.5]))
 
     def test_rejects_degenerate_margins(self):
         with pytest.raises(InvalidDistributionError):

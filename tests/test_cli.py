@@ -59,6 +59,15 @@ class TestEval:
         )
         assert float(out) == pytest.approx(float(out2), abs=1e-12)
 
+    def test_verify_rejects_nan_gap(self, capsys, monkeypatch):
+        monkeypatch.setattr("gfgm.cli.cdf_natural", lambda c, pts: np.full(len(pts), np.nan))
+        code, out, err = _run(
+            capsys, ["eval", "--p", "0.5,0.5", "--theta", "1.0", "-u", "0.5,0.5", "--verify"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "differ by nan" in err
+
     def test_spec_file_with_pmf(self, capsys, spec_file, tmp_path):
         (tmp_path / "pmf.txt").write_text("d=2\n00,0.5\n11,0.5\n")
         spec = spec_file("cop.spec", "d=2\npmf_file=pmf.txt\n")
@@ -153,6 +162,15 @@ class TestMeasures:
         assert code == 2
         assert out == ""
         assert "Beta parameters" in err
+
+    def test_verify_rejects_nan_gap(self, capsys, monkeypatch):
+        nan = association.AssociationReport(np.nan, np.nan, np.nan, np.nan, 2, "quadrature")
+        monkeypatch.setattr(association, "measures_by_quadrature", lambda c, nodes: nan)
+        argv = ["measures", "--p", "0.5,0.5", "--theta", "1.0", "--verify"]
+        code, out, err = _run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "differ by nan" in err
 
     def test_verify_passes_for_honest_copula(self, tmp_path):
         out = tmp_path / "m.csv"

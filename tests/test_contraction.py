@@ -1,4 +1,4 @@
-"""The blocked atom contraction E[prod_j f_j(I_j)] against direct per-atom sums."""
+"""The atom and count-law contractions E[prod_j f_j(I_j)] against direct sums."""
 
 import tracemalloc
 
@@ -7,6 +7,7 @@ import pytest
 
 from gfgm import (
     BernoulliPmf,
+    ExchangeableCountPmf,
     GfgmCopula,
     MixtureSpec,
     cdf,
@@ -20,7 +21,7 @@ from gfgm import (
     survival,
     tau,
 )
-from gfgm.association import _tau_kernel
+from gfgm.association import _orthant_kernels, _tau_kernel
 from gfgm.bernoulli import CHUNK_ELEMENTS
 from gfgm.copula import _cdf_factors, _pow_log
 
@@ -191,3 +192,42 @@ def test_tau_matches_double_loop(d, n_atoms):
 def test_tau_matches_weight_class_sum(cp):
     c = GfgmCopula(expand(cp))
     assert tau(c) == pytest.approx(measures_exchangeable(cp).tau, rel=1e-10, abs=1e-13)
+
+
+def _factor_tables(rng, n, d):
+    """Random (n, d) factor pairs in [0, 2), about a fifth of them exactly 0 or 1."""
+    f0, f1 = rng.uniform(0.0, 2.0, size=(2, n, d))
+    for f in (f0, f1):
+        f[rng.random((n, d)) < 0.1] = 0.0
+        f[rng.random((n, d)) < 0.1] = 1.0
+    return f0, f1
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+def test_count_law_matches_expanded_atoms(d):
+    rng = np.random.default_rng(500 + d)
+    q = rng.dirichlet(np.ones(d + 1))
+    q[1] = 0.0  # an empty weight class
+    cp = ExchangeableCountPmf(d, q / q.sum())
+    f0, f1 = _factor_tables(rng, 60, d)
+    f0[0, d - 1] = f1[0, d - 1] = 0.0
+    got = cp.expect_products(f0, f1)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, expand(cp).expect_products(f0, f1), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("d, extra", [(200, [(0.5, 1.5), (1.0, 1.0)]), (800, [])])
+def test_count_law_matches_power_sums(d, extra):
+    # constant factor pairs: E = sum_k q_k g1^k g0^(d-k), the orthant power
+    # sum; at d = 800 the unscaled class sums of the orthant pairs overflow
+    rng = np.random.default_rng(d)
+    q = np.zeros(d + 1)
+    q[rng.choice(d + 1, size=12, replace=False)] = rng.dirichlet(np.ones(12))
+    for cp in (ExchangeableCountPmf(d, q), end_count_pmf(0.05, d), end_count_pmf(0.95, d)):
+        g00, g01, g10, g11 = _tau_kernel(cp.p)
+        pairs = np.array([*_orthant_kernels(cp.p), (g00, g10), (g01, g11), *extra])
+        k = np.arange(d + 1)
+        want = np.array([cp.q @ (g1**k * g0 ** (d - k)) for g0, g1 in pairs])
+        f0, f1 = (np.repeat(pairs[:, side : side + 1], d, axis=1) for side in (0, 1))
+        got = cp.expect_products(f0, f1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

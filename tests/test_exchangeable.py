@@ -1,5 +1,6 @@
 """Exchangeable machinery: expansion, extremal points, END, mixtures."""
 
+import hashlib
 import itertools
 import math
 
@@ -247,6 +248,17 @@ class TestMixtures:
             13 / 48, abs=1e-14
         )
 
+    def test_cdf_digest(self, monkeypatch):
+        # recorded before the weight-class sums moved into _weight_class_sums;
+        # at p = 1/3, u^(1/(1-p)) = u^1.5 is taken as u * sqrt(u), which is
+        # correctly rounded, so the platform's libm does not enter
+        monkeypatch.setattr("gfgm.exchangeable._pow_log", lambda u, expo: u * np.sqrt(u))
+        pts = (np.arange(60).reshape(10, 6) % 17) / 16.0
+        out = mixture_copula_cdf(MixtureSpec.beta(1.0, 2.0, 6), 6, pts)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "15184d37e000bacf9e25ecd33cdc0b3fab3a94fd370a0165bf1cb721dfef3678"
+        )
+
     def test_degenerate_mixture_normalization(self):
         spec = MixtureSpec.degenerate(0.4, 3)
         assert mixture_copula_cdf(spec, 3, [1.0, 1.0, 1.0]) == pytest.approx(1.0)
@@ -272,6 +284,19 @@ class TestBetaMixture:
         assert marginals(c.bernoulli) == pytest.approx(
             np.full(5, alpha / (alpha + beta)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("d", [10, 22, 30, 100])
+    def test_beta_spec_is_beta_binomial(self, d):
+        # the moment route cancels from d ~ 20 (it rejects Beta(2,3) at d = 22)
+        from scipy.stats import betabinom
+
+        for alpha, beta in ((2.0, 3.0), (0.5, 0.5), (5.0, 1.5)):
+            cp = parse_exchangeable_spec(f"beta:{alpha},{beta}", d=d)
+            want = betabinom.pmf(np.arange(d + 1), d, alpha, beta)
+            np.testing.assert_allclose(cp.q, want, rtol=1e-12, atol=0)
+            if d <= 20:
+                c = beta_mixture_copula(alpha, beta, d)
+                np.testing.assert_allclose(count_pmf_of(c.bernoulli).q, want, rtol=1e-12)
 
     def test_moments_recursion(self):
         m = beta_moments(1.0, 1.0, 4)

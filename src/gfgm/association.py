@@ -51,8 +51,11 @@ __all__ = [
 
 
 def _prefactor(d: int) -> float:
+    """(d+1)/(2^d-d-1); each closed form calls it before any other 2^d."""
     if d < 2:
         raise InvalidDistributionError("association measures need d >= 2")
+    if d > 1023:  # 2.0**d overflows a float from d = 1024
+        raise InvalidDistributionError("association measures need d <= 1023")
     return (d + 1) / (2.0**d - d - 1.0)
 
 
@@ -114,12 +117,13 @@ def _report(law, p, on, weights) -> AssociationReport:
     row of ``on``, with mass in ``weights``) holding G_m(0, on_m), G_m(1, on_m).
     """
     d = on.shape[1]
+    pref = _prefactor(d)
     orthant = np.reshape(_orthant_kernels(p), (2, 2, -1)) * np.ones(d)  # (kernel, side, m)
     g00, g01, g10, g11 = _tau_kernel(p)
     f0 = np.vstack([orthant[:, 0], np.where(on, g01, g00)])
     f1 = np.vstack([orthant[:, 1], np.where(on, g11, g10)])
     e = law.expect_products(f0, f1)
-    lo, up = (_prefactor(d) * (e[:2] - 1.0)).tolist()
+    lo, up = (pref * (e[:2] - 1.0)).tolist()
     t = (2.0**d * float(weights @ e[2:]) - 1.0) / (2.0 ** (d - 1) - 1.0)
     return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
 
@@ -289,7 +293,9 @@ def check_concordance(
     d = c1.d
     if d > 6:
         raise InvalidDistributionError("grid concordance checks support d <= 6")
-    g = grid_points_per_axis or _GRID_DEFAULT[d]
+    g = _GRID_DEFAULT[d] if grid_points_per_axis is None else grid_points_per_axis
+    if g < 1:
+        raise InvalidDistributionError("grid_points_per_axis must be at least 1")
     axis = np.arange(1, g + 1) / (g + 1.0)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)

@@ -4,7 +4,9 @@ Subcommands: ``eval`` (cdf at points), ``pdf-grid`` (density on a lattice,
 d=2), ``measures`` (association report), ``tables`` (maximal/minimal measure
 grids over p and d), ``sample`` (seeded batches as CSV), ``extremals``
 (extremal exchangeable count pmfs), ``order-check`` (concordance grid
-comparison).  All outputs are CSV with ``#``-prefixed metadata comments.
+comparison).  All outputs are CSV with ``#``-prefixed metadata comments;
+every numeric table goes through ``_write_rows``, one ``%`` format per chunk
+of rows.
 
 Exit codes: 0 success, 2 validation error, 3 numeric cross-check
 disagreement (``--verify``).
@@ -26,6 +28,7 @@ from .specio import build_copula, load_copula_spec
 MAX_TABLE_DS = (2, 3, 5, 8, 10, 15, 20, 50, 100)
 MIN_TABLE_DS = (2, 3, 4, 5, 8, 10, 15)
 TABLE_PS = tuple(k / 10 for k in range(1, 10))
+_WRITE_CHUNK_VALUES = 1 << 16  # values formatted per write, bounds the transient text
 
 
 class OracleDisagreement(Exception):
@@ -67,6 +70,15 @@ def _output(path):
             yield fh
 
 
+def _write_rows(fh, row_fmt, values) -> None:
+    """Write ``row_fmt % tuple(row)`` and a newline for each row of a 2-D array."""
+    line = row_fmt + "\n"
+    step = max(1, _WRITE_CHUNK_VALUES // values.shape[1])
+    for start in range(0, values.shape[0], step):
+        block = values[start : start + step]
+        fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+
+
 def _cmd_eval(args) -> int:
     c = _copula_from_args(args)
     pts = np.array([[float(s) for s in spec.split(",")] for spec in args.u])
@@ -78,8 +90,7 @@ def _cmd_eval(args) -> int:
                 f"stochastic and natural cdf forms differ by {gap:.3e} (> 1e-12)"
             )
     with _output(args.out) as fh:
-        for v in np.atleast_1d(values):
-            print(f"{v:.12g}", file=fh)
+        _write_rows(fh, "%.12g", np.reshape(values, (-1, 1)))
     return 0
 
 
@@ -88,6 +99,8 @@ def _cmd_pdf_grid(args) -> int:
     if c.d != 2:
         raise InvalidDistributionError("pdf-grid needs a bivariate copula")
     res = args.resolution
+    if res < 1:
+        raise InvalidDistributionError("--resolution must be at least 1")
     axis = (np.arange(res) + 0.5) / res
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([uu.ravel(), vv.ravel()])
@@ -95,8 +108,7 @@ def _cmd_pdf_grid(args) -> int:
     with _output(args.out) as fh:
         print(f"# pdf-grid resolution={res} p={_fmt_p(c.p)}", file=fh)
         print("u,v,density", file=fh)
-        for (u, v), z in zip(pts, dens):
-            print(f"{u:.10g},{v:.10g},{z:.12g}", file=fh)
+        _write_rows(fh, "%.10g,%.10g,%.12g", np.column_stack([pts, dens]))
     return 0
 
 
@@ -150,13 +162,13 @@ def _cmd_tables(args) -> int:
         ds = MIN_TABLE_DS
         idx = {"rhoL-min": 0, "rhoU-min": 1}[which]
         cell = lambda p, d: association.min_measures_exchangeable(p, d)[idx]
-    prec = args.precision
+    if args.precision < 0:
+        raise InvalidDistributionError("--precision must be non-negative")
+    table = np.array([[p] + [cell(p, d) for d in ds] for p in TABLE_PS])
     with _output(args.out) as fh:
         print(f"# table {which}", file=fh)
         print("p," + ",".join(str(d) for d in ds), file=fh)
-        for p in TABLE_PS:
-            row = [f"{p:.1f}"] + [f"{cell(p, d):.{prec}f}" for d in ds]
-            print(",".join(row), file=fh)
+        _write_rows(fh, ",".join(["%.1f"] + [f"%.{args.precision}f"] * len(ds)), table)
     return 0
 
 
@@ -166,8 +178,7 @@ def _cmd_sample(args) -> int:
     with _output(args.out) as fh:
         print(f"# seed={batch.seed} generator={batch.generator_id}", file=fh)
         print(",".join(f"u{j + 1}" for j in range(c.d)), file=fh)
-        for row in batch.values:
-            print(",".join(f"{x:.17g}" for x in row), file=fh)
+        _write_rows(fh, ",".join(["%.17g"] * c.d), batch.values)
     return 0
 
 

@@ -8,6 +8,7 @@ from gfgm import (
     GfgmCopula,
     InvalidDistributionError,
     check_concordance,
+    end_count_pmf,
     end_pmf,
     max_measures_gfgm_p,
     measures,
@@ -265,3 +266,38 @@ class TestConcordanceChecks:
         p = [0.5] * 7
         with pytest.raises(InvalidDistributionError):
             check_concordance(GfgmCopula.independence(p), GfgmCopula.comonotone(p))
+
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_rejects_empty_grid(self, g):
+        # an empty grid would report dominance both ways, a vacuous c_ordered
+        c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
+        c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
+        with pytest.raises(InvalidDistributionError, match="at least 1"):
+            check_concordance(c1, c2, g)
+
+    def test_one_point_grid(self):
+        c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
+        c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
+        res = check_concordance(c1, c2, 1)
+        assert res.verdict == "c_ordered" and res.cl_backward and not res.cl_forward
+
+
+class TestDimensionLimit:
+    """2^d overflows a float from d = 1024; every closed form stops before it."""
+
+    ROUTES = {
+        "exchangeable": lambda d: measures_exchangeable(end_count_pmf(0.4, d)),
+        "max": lambda d: max_measures_gfgm_p(0.4, d),
+        "min": lambda d: min_measures_exchangeable(0.4, d),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_rejects_d_1024(self, route):
+        with pytest.raises(InvalidDistributionError, match="d <= 1023"):
+            self.ROUTES[route](1024)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_finite_at_d_1023(self, route):
+        r = self.ROUTES[route](1023)
+        values = r[:2] if isinstance(r, tuple) else (r.rho_cL, r.rho_cU, r.rho_c, r.tau)
+        assert np.isfinite(values).all()

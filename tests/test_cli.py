@@ -1,5 +1,7 @@
 """Command-line surface: spec files, CSV outputs, exit codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,14 @@ class TestTables:
         rows = _read_csv(out)
         assert "." in rows[1][1] and len(rows[1][1].split(".")[1]) == 8
 
+    def test_negative_precision_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        argv = ["tables", "--which", "tau-max", "--precision", "-1", "--out", str(out)]
+        code, stdout, err = _run(capsys, argv)
+        assert code == 2
+        assert "precision" in err
+        assert not out.exists() and stdout == ""
+
 
 class TestMeasures:
     def test_closed_form_values(self, tmp_path):
@@ -257,6 +267,13 @@ class TestPdfGrid:
         code, _, err = _run(capsys, ["pdf-grid", "--p", "0.5,0.5,0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("res", ["0", "-2"])
+    def test_rejects_empty_grid(self, capsys, res):
+        code, out, err = _run(capsys, ["pdf-grid", "--p", "0.5,0.5", "--resolution", res])
+        assert code == 2
+        assert out == ""
+        assert "--resolution" in err
+
 
 class TestExtremals:
     def test_integer_case(self, tmp_path):
@@ -284,6 +301,15 @@ class TestOrderCheck:
         assert rows[1][4] == "c_ordered"
         assert rows[1][0] == "1" and rows[1][1] == "0"
 
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_rejects_empty_grid(self, capsys, spec_file, grid):
+        s1 = spec_file("a.spec", "d=2\np=0.4,0.6\ntheta=0.6\n")
+        s2 = spec_file("b.spec", "d=2\np=0.4,0.6\ntheta=-0.9\n")
+        code, out, err = _run(capsys, ["order-check", "--spec1", s1, "--spec2", s2, f"--grid={grid}"])
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
     def test_mismatched_p_exit_code(self, capsys, spec_file):
         s1 = spec_file("a.spec", "d=2\np=0.4,0.4\n")
         s2 = spec_file("b.spec", "d=2\np=0.5,0.5\n")
@@ -303,3 +329,80 @@ class TestSpecParsing:
         code, out, _ = _run(capsys, ["eval", "--spec", spec, "-u", "0.5,0.5"])
         assert code == 0
         assert float(out) == pytest.approx(0.25)  # binomial counts = independence
+
+
+def _pmf30_text():
+    """A fixed d=30 atom pmf: four hashed masks and their complements."""
+    base = [(a + 1) * 0x9E3779B1 % 2**30 for a in range(4)]
+    masks = base + [m ^ (2**30 - 1) for m in base]
+    probs = ["0.04", "0.08", "0.12", "0.16", "0.2", "0.18", "0.14", "0.08"]
+    return "d=30\n" + "".join(f"{m:030b},{q}\n" for m, q in zip(masks, probs))
+
+
+# SHA-256 of the bytes each command writes, recorded before the CSV writer was
+# rewritten; any change to number formatting, row order or line endings shows.
+# The d=10, d=30 and n=70000 samples and the r=257 grid span several write chunks.
+CLI_DIGESTS = {
+    "sample-end-d10": (
+        ["sample", "--d", "10", "--exchangeable", "end:0.35", "--n", "7001", "--seed", "11"],
+        "d074e9d0a06bce509c1850da326fac70147738be301132314b7db941d1120d9f",
+    ),
+    "sample-pmf-d30": (
+        ["sample", "--pmf-file", "{pmf30}", "--n", "2500", "--seed", "12"],
+        "a7829eab7848cb01e3f5ad7de3e80c62a784448702091b3ddd0fa7b0719abae0",
+    ),
+    "sample-theta-d2-n1": (
+        ["sample", "--p", "0.3,0.8", "--theta", "-0.4", "--n", "1", "--seed", "13"],
+        "e32660db91d854e3e87929ccd3883a5e01ef8155bc7af132b5600c3200a3eae6",
+    ),
+    "sample-theta-d2-n70000": (
+        ["sample", "--p", "0.3,0.8", "--theta", "-0.4", "--n", "70000", "--seed", "14"],
+        "674669cd8a1f857633ad867a4305e299a1f9ef3c7f5164cb2a77c48e5d78b000",
+    ),
+    "pdf-grid-r257": (
+        ["pdf-grid", "--p", "0.3,0.7", "--theta", "0.4", "--resolution", "257"],
+        "e239438f243cd546fc32744dda44f0590a4e894ff643aecf526eab8f3814605b",
+    ),
+    "pdf-grid-r1": (
+        ["pdf-grid", "--p", "0.3,0.7", "--theta", "0.4", "--resolution", "1"],
+        "52c6239b40bb709366e782938f2d14d33c2af61cfb6c33b5c6ddd39577e8613c",
+    ),
+    "eval-edges": (
+        ["eval", "--p", "0.3,0.7", "--theta", "0.4",
+         "-u", "0,0.5", "-u", "1e-300,0.7", "-u", "1,1", "-u", "0.25,1e-300", "-u", "0.3,0.4"],
+        "cc2f699644f38c1c6cbbf634f2ad2b88c46a582f7fed718d4afb3e57c3533dc8",
+    ),
+    "tables-tau-max-p0": (
+        ["tables", "--which", "tau-max", "--precision", "0"],
+        "08fce6c7a09be20d36e56e5845846d3373b15f4819fbc0d9b9ca54b7340cf8c0",
+    ),
+    "tables-rhoL-min-p17": (
+        ["tables", "--which", "rhoL-min", "--precision", "17"],
+        "7f7b3a303dd27e9c85fa21baa705ba80f0b5d7d22367734c476c227b5969db68",
+    ),
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+    def test_output_digest(self, tmp_path, name):
+        argv, digest = CLI_DIGESTS[name]
+        (tmp_path / "pmf30.txt").write_text(_pmf30_text())
+        out = tmp_path / "out.csv"
+        argv = [a.format(pmf30=tmp_path / "pmf30.txt") for a in argv]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_repeat_in_one_process(self, tmp_path):
+        # a failed parse or a failed validation in between must leave the
+        # next run in the same process unchanged
+        argv = ["sample", "--d", "4", "--exchangeable", "end:0.4", "--n", "50", "--seed", "3"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(a)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--d", "4", "--n", "many", "--seed", "3"])
+        assert exc.value.code == 2
+        bad = ["sample", "--p", "0.5,0.5", "--theta", "1.5", "--n", "5", "--seed", "3"]
+        assert main(bad + ["--out", str(tmp_path / "bad.csv")]) == 2
+        assert main(argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()

@@ -59,7 +59,12 @@ def _spawn_generators(seed: int, count: int = 3) -> list[np.random.Generator]:
 
 
 def _open_uniform(gen: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1): (k + 1/2) / 2^53 on integer k."""
+    """Uniform draws (k + 1/2) / 2^53 on integer 0 <= k < 2^53, rounded to float64.
+
+    For k >= 2^52 the sum k + 1/2 is not a float64 and rounds half to even,
+    so k = 2^53 - 1 gives exactly 1.0 (probability 2^-53 per draw).  Every
+    other k gives a value strictly inside (0, 1); the largest is 1 - 2^-52.
+    """
     k = gen.integers(0, 1 << 53, size=shape)
     return (k.astype(np.float64) + 0.5) / float(1 << 53)
 

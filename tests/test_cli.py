@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gfgm import association
+from gfgm import association, cli
 from gfgm.cli import main
 
 
@@ -69,6 +69,20 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert "differ by nan" in err
+
+    @pytest.mark.parametrize("natural", [[], ["--natural"]])
+    def test_verify_evaluates_each_form_once(self, capsys, monkeypatch, natural):
+        calls = []
+        for name in ("cdf", "cdf_natural"):
+            form = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda c, pts, form=form, name=name: calls.append(name) or form(c, pts)
+            )
+        argv = ["eval", "--p", "0.5,0.5", "--theta", "1.0", "-u", "0.5,0.5", "--verify", *natural]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert float(out) == pytest.approx(0.3125)
+        assert sorted(calls) == ["cdf", "cdf_natural"]
 
     def test_spec_file_with_pmf(self, capsys, spec_file, tmp_path):
         (tmp_path / "pmf.txt").write_text("d=2\n00,0.5\n11,0.5\n")
@@ -181,6 +195,22 @@ class TestMeasures:
         assert code == 3
         assert out == ""
         assert "differ by nan" in err
+
+    @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+    def test_verify_reuses_the_report(self, capsys, monkeypatch, method):
+        calls = []
+        for name in ("measures", "measures_by_quadrature"):
+            route = getattr(association, name)
+            monkeypatch.setattr(
+                association,
+                name,
+                lambda c, route=route, name=name, **kw: calls.append(name) or route(c, **kw),
+            )
+        argv = ["measures", "--p", "0.5,0.5", "--theta", "1.0", "--method", method, "--verify"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert f"rho_cL,{method},2," in out
+        assert sorted(calls) == ["measures", "measures_by_quadrature"]
 
     def test_verify_passes_for_honest_copula(self, tmp_path):
         out = tmp_path / "m.csv"

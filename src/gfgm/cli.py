@@ -248,7 +248,11 @@ def _write_rows(fh, precisions, values) -> None:
 
 def _cmd_eval(args) -> int:
     c = _copula_from_args(args)
-    pts = np.array([[float(s) for s in spec.split(",")] for spec in args.u])
+    rows = [[float(s) for s in spec.split(",")] for spec in args.u]
+    for spec, row in zip(args.u, rows):
+        if len(row) != c.d:
+            raise ValueError(f"point -u {spec} has dimension {len(row)}, expected d={c.d}")
+    pts = np.array(rows)
     forms = (cdf_natural, cdf) if args.natural else (cdf, cdf_natural)
     values = forms[0](c, pts)
     if args.verify:

@@ -17,7 +17,10 @@ expressions:
 
 * the stochastic form, a mixture over atoms of products of per-margin
   conditional cdfs (fast: O(#atoms * d / 4) multiplications per point
-  through the blocked contraction of :meth:`BernoulliPmf.expect_products`);
+  through the blocked contraction of :meth:`BernoulliPmf.expect_products`,
+  fewer when dense supports are grouped; the factor tables are computed one
+  contraction chunk of points at a time, so transient memory does not grow
+  with the number of points);
 * the natural (polynomial) form with centered coefficients
   nu_S = E[prod_{j in S}(I_j - p_j)/p_j] multiplying
   prod_{j in S}(1 - u_j^{p_j/(1-p_j)}) (an exponential-size verification
@@ -78,7 +81,8 @@ def _as_points(u, d: int) -> tuple[np.ndarray, bool]:
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"expected points of dimension {d}, got shape {pts.shape}")
-    if not np.all((pts >= 0.0) & (pts <= 1.0)):  # also rejects NaN
+    # min and max propagate NaN, which fails both comparisons
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
         raise ValueError("points must lie inside the unit cube [0,1]^d")
     return pts, single
 
@@ -153,17 +157,37 @@ class GfgmCopula:
         return survival(self, u)
 
 
+def _mix_over_atoms(c: GfgmCopula, u, factors):
+    """E over the Bernoulli atoms of prod_m of the factor pairs ``factors(c, block)``.
+
+    The factor pairs are computed one contraction chunk of points at a time,
+    so no (n, d) temporary is made and transient memory does not grow with
+    the number of points; the values are those of one call over all points.
+    """
+    pts, single = _as_points(u, c.d)
+    out = c.bernoulli._expect_chunks(pts.shape[0], lambda s, e: factors(c, pts[s:e]))
+    return float(out[0]) if single else out
+
+
 def _cdf_factors(c: GfgmCopula, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a0 = _pow_log(pts, c._inv1mp[None, :])  # u^{1/(1-p)}
     a1 = (pts - (1.0 - c.p)[None, :] * a0) / c.p[None, :]
     return a0, a1
 
 
+def _pdf_factors(c: GfgmCopula, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    upow = _pow_log(pts, (c.p / (1.0 - c.p))[None, :])  # u^{p/(1-p)}
+    return upow / (1.0 - c.p), (1.0 - upow) / c.p
+
+
+def _survival_factors(c: GfgmCopula, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a0, a1 = _cdf_factors(c, pts)
+    return 1.0 - a0, 1.0 - a1
+
+
 def cdf(c: GfgmCopula, u):
     """Joint cdf C(u), mixture over the Bernoulli atoms (stochastic form)."""
-    pts, single = _as_points(u, c.d)
-    out = c.bernoulli.expect_products(*_cdf_factors(c, pts))
-    return float(out[0]) if single else out
+    return _mix_over_atoms(c, u, _cdf_factors)
 
 
 def cdf_natural(c: GfgmCopula, u):
@@ -187,10 +211,7 @@ def cdf_natural(c: GfgmCopula, u):
 
 def pdf(c: GfgmCopula, u):
     """Copula density; boundary points evaluate the continuous extension."""
-    pts, single = _as_points(u, c.d)
-    upow = _pow_log(pts, (c.p / (1.0 - c.p))[None, :])  # u^{p/(1-p)}
-    out = c.bernoulli.expect_products(upow / (1.0 - c.p), (1.0 - upow) / c.p)
-    return float(out[0]) if single else out
+    return _mix_over_atoms(c, u, _pdf_factors)
 
 
 def survival(c: GfgmCopula, u):
@@ -199,10 +220,7 @@ def survival(c: GfgmCopula, u):
     Uses conditional independence given the Bernoulli vector, so it costs the
     same as one cdf evaluation.
     """
-    pts, single = _as_points(u, c.d)
-    a0, a1 = _cdf_factors(c, pts)
-    out = c.bernoulli.expect_products(1.0 - a0, 1.0 - a1)
-    return float(out[0]) if single else out
+    return _mix_over_atoms(c, u, _survival_factors)
 
 
 def survival_by_cdf(c: GfgmCopula, u):

@@ -110,6 +110,17 @@ class TestEval:
         assert out == ""
         assert "unit cube" in err
 
+    @pytest.mark.parametrize("points", [["0.3,0.4", "0.2"], ["0.3,0.4,0.5"]], ids=["ragged", "too-long"])
+    def test_point_of_wrong_dimension_exit_code(self, capsys, points):
+        argv = ["eval", "--p", "0.3,0.7", "--theta", "0.4"]
+        for point in points:
+            argv += ["-u", point]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        bad = points[-1]
+        assert err == f"error: point -u {bad} has dimension {bad.count(',') + 1}, expected d=2\n"
+
     def test_conflicting_sources_rejected(self, capsys):
         code, _, err = _run(
             capsys,

@@ -1,5 +1,6 @@
 """The atom and count-law contractions E[prod_j f_j(I_j)] against direct sums."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,8 @@ from gfgm import (
     comonotonic,
     end_count_pmf,
     expand,
+    from_theta_bivariate,
+    independent,
     measures_exchangeable,
     mixture_count_pmf,
     pdf,
@@ -113,6 +116,75 @@ def test_large_sparse_pmf_stays_within_chunk_cap():
         tracemalloc.stop()
     assert peak <= 8 * CHUNK_ELEMENTS
     np.testing.assert_allclose(got, _atom_product(pmf, f0, f1), rtol=1e-12, atol=0)
+
+
+def _full_support(rng, d):
+    return BernoulliPmf(d, np.arange(1 << d), rng.dirichlet(np.ones(1 << d)))
+
+
+def _per_high_prefix(rng, d, k):
+    """Pmf with k atoms on each of 60 random prefixes above the lowest 4-bit block."""
+    high = rng.choice(1 << (d - 4), size=60, replace=False).astype(np.int64)
+    low = np.array([rng.choice(16, size=k, replace=False) for _ in high])
+    masks = ((high[:, None] << 4) | low).ravel()
+    return BernoulliPmf(d, masks, rng.dirichlet(np.ones(masks.size)))
+
+
+def _expanded(rng, d):
+    """Exchangeable member with a full-support count pmf, as the benchmarks build it."""
+    return expand(ExchangeableCountPmf(d, rng.dirichlet(np.ones(d + 1))))
+
+
+# (name, pmf builder, whether the plan groups it); the benchmark shapes are
+# full-d9, full-d10, sparse-d30, comonotone-d63, bivariate and independence-d3/d4
+SCHEDULES = [
+    ("full-d5", lambda rng: _full_support(rng, 5), True),
+    ("full-d9", lambda rng: _expanded(rng, 9), True),
+    ("full-d10", lambda rng: _expanded(rng, 10), True),
+    ("full-d12", lambda rng: _full_support(rng, 12), True),
+    ("end-d14", lambda rng: expand(end_count_pmf(6.5 / 14, 14)), True),
+    ("triples-d31", lambda rng: _per_high_prefix(rng, 31, 3), True),
+    ("pairs-d63", lambda rng: _per_high_prefix(rng, 63, 2), True),
+    ("sparse-d17", lambda rng: _random_atoms(rng, 17, 40), False),
+    ("sparse-d30", lambda rng: _random_atoms(rng, 30, 256), False),
+    ("sparse-d31", lambda rng: _random_atoms(rng, 31, 40), False),
+    ("sparse-d63", lambda rng: _random_atoms(rng, 63, 40), False),
+    ("comonotone-d63", lambda rng: comonotonic(rng.uniform(0.2, 0.8, size=63)), False),
+    ("bivariate", lambda rng: from_theta_bivariate(0.3, 0.6, 0.4), False),
+    ("independence-d3", lambda rng: independent(rng.uniform(0.2, 0.8, size=3)), False),
+    ("independence-d4", lambda rng: independent(rng.uniform(0.2, 0.8, size=4)), False),
+]
+
+
+@pytest.mark.parametrize("name, build, grouped", SCHEDULES, ids=[s[0] for s in SCHEDULES])
+def test_both_schedules_match_atom_loop(name, build, grouped):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    pmf = build(rng)
+    plan = pmf._block_rows
+    assert (plan.low is not None) == grouped
+    d, n = pmf.d, 3 * plan.chunk + 5  # three whole chunks and a short one
+    f0, f1 = rng.uniform(0.5, 1.5, size=(2, n, d))
+    f0[::5, 0] = 0.0
+    f1[::7, d - 1] = 0.0
+    f0[::11, d - 1] = f1[::11, d - 1] = 0.0  # every atom's product is 0
+    got = pmf.expect_products(f0, f1)
+    assert np.all(got[::11] == 0.0)
+    np.testing.assert_allclose(got, _atom_loop(pmf, f0, f1), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("evaluate", [cdf, pdf, survival], ids=["cdf", "pdf", "survival"])
+def test_evaluation_memory_does_not_grow_with_points(evaluate):
+    rng = np.random.default_rng(20000)
+    c = GfgmCopula(comonotonic(rng.uniform(0.2, 0.8, size=63)))
+    pts = rng.uniform(size=(20000, 63))  # 10 MB, allocated before tracing
+    evaluate(c, pts[:1])  # builds the contraction plan
+    tracemalloc.start()
+    try:
+        evaluate(c, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 def test_single_point_matches_expectation_of_products():
@@ -231,3 +303,57 @@ def test_count_law_matches_power_sums(d, extra):
         f0, f1 = (np.repeat(pairs[:, side : side + 1], d, axis=1) for side in (0, 1))
         got = cp.expect_products(f0, f1)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _rational_pmfs():
+    """Random sparse d=30, comonotone d=63 and bivariate pmfs, all with rational masses."""
+    rng = np.random.default_rng(830)
+    masks = np.unique(rng.integers(0, 1 << 30, size=200))
+    weights = rng.integers(1, 64, size=masks.size).astype(float)
+    return {
+        "sparse-d30": BernoulliPmf(30, masks, weights / weights.sum()),
+        "comonotone-d63": comonotonic(np.arange(1, 64) / 64.0),
+        "bivariate": from_theta_bivariate(0.25, 0.625, 0.5),
+    }
+
+
+# SHA-256 of float64 bytes, recorded before the contraction was split into two
+# schedules and cdf/pdf/survival began to compute factors one chunk at a time.
+# All three pmfs stay on the per-atom schedule; every input is a multiple of
+# 1/64 and _pow_log is replaced by u * sqrt(u) (correctly rounded), so the
+# platform's libm does not enter.  n spans several contraction chunks.
+UNGROUPED_DIGESTS = {
+    ("sparse-d30", 1000): (
+        "228d067040556df5e7ad5938dc5b996b71a7c073c59b760a3982d1ba365e2c30",
+        "7fc6513ffef0116e9d8b396dc93c4e9b5e4469f709dec8754bfd0fd43dc1f5a6",
+        "d34e353af337d4751dec35285191518cdd1ca34aa366325624f6c6988ef9a25f",
+        "2604aeebdcf8de2691a23c3af5559358b44b9befa0778e927e604cde33425d0b",
+    ),
+    ("comonotone-d63", 1000): (
+        "a52f61a37a46b3412e51c0dad024abc207b5753a17c34a8a1cdf819cb8eef5e1",
+        "fbd39cf9510c4605a0cde24a10936c9c6d2e5706cc4055a9f1d18941c7a75069",
+        "69b96d677394d6413dca82ec31b1a3182821a1396aa997fd32216576813ab9fc",
+        "574520e78a2ed369f20df4806a360c14e3c6676dbfa11fd1ff777d7b668f048a",
+    ),
+    ("bivariate", 9000): (
+        "e9bc8d83521a62b0016ae68445aa800f031072d9eb0f2d72d2f1ccd1a684f613",
+        "5785a54619ed5f6077d5abadf52f0f4895e9ba31be21d02b1005c94eba021b4e",
+        "b39db68702f5f641a38abbe9f9243e5d49589797a57756ef4dcbbc83139e3d3d",
+        "9425fdfa25a4f843fbe4e09bf8b2ea531286edfc6de4b5d326b1970e2789a491",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(UNGROUPED_DIGESTS))
+def test_ungrouped_values_keep_their_bits(monkeypatch, name, n):
+    monkeypatch.setattr("gfgm.copula._pow_log", lambda u, expo: u * np.sqrt(u))
+    pmf = _rational_pmfs()[name]
+    d = pmf.d
+    k = np.arange(n * d).reshape(n, d)
+    f0, f1 = (k * 37 % 129) / 64.0, (k * 53 % 129) / 64.0  # in [0, 2], exact zeros
+    pts = (k * 7 % 64 + 1) / 64.0
+    pts[::7, 1] = 0.0  # some rows on the boundary
+    c = GfgmCopula(pmf)
+    values = [pmf.expect_products(f0, f1), cdf(c, pts), pdf(c, pts), survival(c, pts)]
+    got = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in values)
+    assert got == UNGROUPED_DIGESTS[name, n]

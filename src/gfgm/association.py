@@ -9,10 +9,11 @@ Four measures are computed in closed form for any copula of the family:
 * rho_c  - their average;
 * tau    - multivariate Kendall's tau, (2^d int C dC - 1)/(2^{d-1}-1).
 
-Because the copula is a mixture over Bernoulli atoms of products of
-per-margin pieces, each defining integral factorizes: the orthant integrals
-reduce to single sums over atoms and tau to a double sum with the per-margin
-kernel
+Because the copula is an expectation, under the law of the Bernoulli vector
+I, of products of per-margin pieces, each defining integral factorizes: the
+orthant integrals reduce to one contraction through the law and tau to a
+double expectation, over the law's density-side outcome rows and then
+through the law, with the per-margin kernel
 
     G(i, j) = 1/2 - (i + j)/(2 p) + (j (1-p) + i)/(p (2-p)),
 
@@ -79,19 +80,30 @@ class AssociationReport:
 
 
 def rho_cL(c: GfgmCopula) -> float:
-    """Lower-orthant Spearman's rho, one pass over the Bernoulli atoms."""
-    lower, _ = _orthant_kernels(c.p)
-    return _prefactor(c.d) * (c.bernoulli.expectation_of_products(*lower) - 1.0)
+    """Lower-orthant Spearman's rho."""
+    return float(_rhos(c)[0])
 
 
 def rho_cU(c: GfgmCopula) -> float:
-    """Upper-orthant Spearman's rho, one pass over the Bernoulli atoms."""
-    _, upper = _orthant_kernels(c.p)
-    return _prefactor(c.d) * (c.bernoulli.expectation_of_products(*upper) - 1.0)
+    """Upper-orthant Spearman's rho."""
+    return float(_rhos(c)[1])
 
 
 def rho_c(c: GfgmCopula) -> float:
-    return 0.5 * (rho_cL(c) + rho_cU(c))
+    lo, up = _rhos(c).tolist()
+    return 0.5 * (lo + up)
+
+
+def _orthant_rows(c: GfgmCopula) -> np.ndarray:
+    """(kernel, side, m) factor rows of rho_cL (kernel 0) and rho_cU (kernel 1)."""
+    return np.reshape(_orthant_kernels(c.p), (2, 2, -1)) * np.ones(c.d)
+
+
+def _rhos(c: GfgmCopula) -> np.ndarray:
+    """(rho_cL, rho_cU) from one two-row orthant contraction through the law."""
+    pref = _prefactor(c.d)
+    orthant = _orthant_rows(c)
+    return pref * (c.law.expect_products(orthant[:, 0], orthant[:, 1]) - 1.0)
 
 
 def _orthant_kernels(p):
@@ -110,28 +122,26 @@ def tau(c: GfgmCopula) -> float:
     return measures(c).tau
 
 
-def _report(law, p, on, weights) -> AssociationReport:
-    """All four measures from one ``law.expect_products`` call.
+def measures(c: GfgmCopula) -> AssociationReport:
+    """All four measures from one contraction through the law.
 
-    Two orthant rows, then one tau row per density-side outcome (a boolean
-    row of ``on``, with mass in ``weights``) holding G_m(0, on_m), G_m(1, on_m).
+    Two orthant rows, then one tau row per density-side outcome row r of the
+    law (with its mass) holding (1 - r_m) G_m(i, 0) + r_m G_m(i, 1) on side
+    i; for a 0/1 row that is exactly G_m(i, r_m).  On atoms this costs
+    O(n_atoms^2 d / 4) multiplications, on a count law O(s d^2) for s
+    supported counts, on independent margins O(d).
     """
-    d = on.shape[1]
+    d = c.d
     pref = _prefactor(d)
-    orthant = np.reshape(_orthant_kernels(p), (2, 2, -1)) * np.ones(d)  # (kernel, side, m)
-    g00, g01, g10, g11 = _tau_kernel(p)
-    f0 = np.vstack([orthant[:, 0], np.where(on, g01, g00)])
-    f1 = np.vstack([orthant[:, 1], np.where(on, g11, g10)])
-    e = law.expect_products(f0, f1)
+    rows, weights = c.law.outcomes
+    orthant = _orthant_rows(c)
+    g00, g01, g10, g11 = _tau_kernel(c.p)
+    f0 = np.vstack([orthant[:, 0], (1.0 - rows) * g00 + rows * g01])
+    f1 = np.vstack([orthant[:, 1], (1.0 - rows) * g10 + rows * g11])
+    e = c.law.expect_products(f0, f1)
     lo, up = (pref * (e[:2] - 1.0)).tolist()
     t = (2.0**d * float(weights @ e[2:]) - 1.0) / (2.0 ** (d - 1) - 1.0)
     return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
-
-
-def measures(c: GfgmCopula) -> AssociationReport:
-    """Closed-form report of all four measures, O(n_atoms^2 d / 4) multiplications."""
-    pmf = c.bernoulli
-    return _report(pmf, c.p, pmf.bits > 0.5, pmf.probs)
 
 
 def max_measures_gfgm_p(p: float, d: int) -> AssociationReport:

@@ -12,10 +12,25 @@ so ``"01"`` means (i_1, i_2) = (0, 1) and corresponds to mask 2.
 Probability mass functions are stored sparsely as (mask, probability) atoms;
 the dimension is capped at 63 so that masks fit in a machine integer.
 
-Every copula quantity reduces to one contraction, E[prod_j g_j(I_j)]:
-``expect_products`` splits the margins into 4-bit blocks and tabulates all 16
-subset products of each block per point.  A per-pmf plan, built once from the
-masks, picks one of two schedules:
+A copula evaluates through a *law* of I.  Each law supplies ``d``; its
+``margins``; ``_expect_chunks``, the point-chunked contraction
+E[prod_j f(i, j, I_j)] (``expect_products`` over whole tables); its
+density-side ``outcomes``, rows r with masses w such that, for I' an
+independent copy of I and per-margin kernels h_m (one kernel for all
+margins when the law is exchangeable),
+
+    E[prod_m h_m(I_m, I'_m)] = sum_r w_r E[prod_m ((1-r_m) h_m(I_m, 0) + r_m h_m(I_m, 1))]
+
+(the 0/1 atom rows, a "first k on" row per supported count, or the single
+margin row of a product law); and ``as_atoms()``, its atom form.  Three
+laws exist: ``BernoulliPmf`` (atoms), ``IndependenceLaw`` (a product of
+Bernoulli(p_j)) and, in ``gfgm.exchangeable``, ``ExchangeableCountPmf``
+(the law of the count).
+
+Every copula quantity reduces to one contraction, E[prod_j g_j(I_j)].  On
+atoms, ``expect_products`` splits the margins into 4-bit blocks and tabulates
+all 16 subset products of each block per point.  A per-pmf plan, built once
+from the masks, picks one of two schedules:
 
 * per atom: multiply one table row per block for each atom,
   n_atoms * n_blocks multiplications per point (about #atoms * d / 4);
@@ -76,8 +91,6 @@ def validate_margins(p) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.ndim != 1 or p.size < 2:
         raise InvalidDistributionError("margin vector must be 1-D with d >= 2")
-    if p.size > MAX_DIMENSION:
-        raise InvalidDistributionError(f"dimension {p.size} exceeds cap {MAX_DIMENSION}")
     if not np.all((p > 0.0) & (p < 1.0)):
         raise InvalidDistributionError("margins must lie strictly in (0, 1)")
     return p
@@ -94,6 +107,34 @@ def _subset_products(f: np.ndarray) -> np.ndarray:
         out = f[..., j, :, None, :] * out[..., None, :, :]
         out = out.reshape(out.shape[:-3] + (-1, out.shape[-1]))
     return out
+
+
+class _Law:
+    """``expect_products`` of a law, from its point-chunked ``_expect_chunks``."""
+
+    def expect_products(self, f0, f1) -> np.ndarray:
+        """E[prod_j f(i, j, I_j)] per point i, for (n, d) factor tables.
+
+        f(i, j, 0) = f0[i, j] and f(i, j, 1) = f1[i, j].
+        """
+        f0, f1 = np.asarray(f0, dtype=float), np.asarray(f1, dtype=float)
+        return self._expect_chunks(f0.shape[0], lambda s, e: (f0[s:e], f1[s:e]))
+
+
+def _over_chunks(n: int, step: int, factor_pairs, contract) -> np.ndarray:
+    """``contract(f0, f1)`` of the factor pairs of points s .. s+step-1, for each s."""
+    out = np.empty(n)
+    for s in range(0, n, step):
+        out[s : s + step] = contract(*factor_pairs(s, min(n, s + step)))
+    return out
+
+
+def _check_atom_form(d: int):
+    if d > MAX_DENSE_DIMENSION:
+        raise InvalidDistributionError(
+            "count and independence laws are still sampled through atoms "
+            f"(d <= {MAX_DENSE_DIMENSION}), got d={d}"
+        )
 
 
 class _Plan(NamedTuple):
@@ -115,7 +156,7 @@ class _Plan(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class BernoulliPmf:
+class BernoulliPmf(_Law):
     """Sparse pmf of a d-variate Bernoulli vector.
 
     Parameters
@@ -166,9 +207,8 @@ class BernoulliPmf:
 
     @classmethod
     def from_dict(cls, d: int, atoms: Mapping[int, float]) -> "BernoulliPmf":
-        masks = np.fromiter(atoms.keys(), dtype=np.int64, count=len(atoms))
-        probs = np.fromiter(atoms.values(), dtype=float, count=len(atoms))
-        return cls(d, masks, probs)
+        # plain lists: the dimension check comes before masks become int64
+        return cls(d, list(atoms.keys()), list(atoms.values()))
 
     @classmethod
     def from_bitstrings(cls, atoms: Mapping[str, float]) -> "BernoulliPmf":
@@ -186,6 +226,12 @@ class BernoulliPmf:
     @property
     def n_atoms(self) -> int:
         return self.masks.size
+
+    margins = property(lambda self: marginals(self))
+    outcomes = property(lambda self: (self.bits, self.probs))
+
+    def as_atoms(self) -> "BernoulliPmf":
+        return self
 
     def prob(self, mask: int) -> float:
         i = np.searchsorted(self.masks, mask)
@@ -218,20 +264,6 @@ class BernoulliPmf:
         chunk = max(1, CHUNK_ELEMENTS // (2 * (span + (n_blocks << BLOCK_BITS))))
         return _Plan(low, rows, weights, span, chunk)
 
-    def expect_products(self, f0, f1) -> np.ndarray:
-        """E[prod_j f(i, j, I_j)] per point i, for (n, d) factor tables.
-
-        f(i, j, 0) = f0[i, j] and f(i, j, 1) = f1[i, j].  Plain products, no
-        logarithms, so zero factors and tiny values behave as in a direct
-        per-atom sum.  Per point, the per-atom schedule costs
-        n_atoms * n_blocks multiplications and the grouped one
-        groups * (n_blocks - 1 + 16), with the lowest block contracted by one
-        (groups, 16) x (16, chunk) matrix product; the plan takes the grouped
-        schedule when that count is the smaller.
-        """
-        f0, f1 = np.asarray(f0, dtype=float), np.asarray(f1, dtype=float)
-        return self._expect_chunks(f0.shape[0], lambda s, e: (f0[s:e], f1[s:e]))
-
     def _expect_chunks(self, n: int, factor_pairs) -> np.ndarray:
         """``expect_products`` over n points, taken ``chunk`` at a time.
 
@@ -239,6 +271,12 @@ class BernoulliPmf:
         s .. e-1, so callers can compute factors one chunk at a time.  One
         call over all points keeps each chunk's buffers until the next chunk
         replaces them; a call per chunk would free and re-fault them each time.
+        Plain products, no logarithms, so zero factors and tiny values behave
+        as in a direct per-atom sum.  Per point, the per-atom schedule costs
+        n_atoms * n_blocks multiplications and the grouped one
+        groups * (n_blocks - 1 + 16), with the lowest block contracted by one
+        (groups, 16) x (16, chunk) matrix product; the plan takes the grouped
+        schedule when that count is the smaller.
         """
         low, rows, weights, span, chunk = self._block_rows
         n_blocks = -(-self.d // BLOCK_BITS)
@@ -281,6 +319,31 @@ def marginals(pmf: BernoulliPmf) -> np.ndarray:
         sel = (pmf.masks >> j) & 1 == 1
         out[j] = pmf.probs[sel].sum()
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class IndependenceLaw(_Law):
+    """Independent I_j ~ Bernoulli(p_j): every expectation is a product, O(d)."""
+
+    p: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", validate_margins(self.p))
+
+    d = property(lambda self: self.p.size)
+    margins = property(lambda self: self.p)
+    outcomes = property(lambda self: (self.p[None, :], np.ones(1)))
+
+    def _expect_chunks(self, n: int, factor_pairs) -> np.ndarray:
+        # the factor tables and their temporaries, about 16 (chunk, d) arrays,
+        # stay within CHUNK_ELEMENTS
+        p = self.p
+        combine = lambda f0, f1: np.prod((1.0 - p) * f0 + p * f1, axis=1)
+        return _over_chunks(n, max(1, CHUNK_ELEMENTS // (16 * self.d)), factor_pairs, combine)
+
+    def as_atoms(self) -> BernoulliPmf:
+        _check_atom_form(self.d)
+        return independent(self.p)
 
 
 def independent(p) -> BernoulliPmf:

@@ -11,16 +11,19 @@ exponential with mean 1-p_m, adding an independent standard exponential when
 I_m = 1 completes a Coxian-2 recipe whose total is standard exponential.
 
 Conditionally on I the components are independent, which gives the whole
-family closed-form cdfs, densities and survival functions as finite mixtures
-over the atoms of the Bernoulli pmf.  The cdf admits two algebraically equal
-expressions:
+family closed-form cdfs, densities and survival functions as expectations,
+under the law of I, of products of per-margin pieces.  A copula holds that
+law in any of three forms (see :mod:`gfgm.bernoulli`): atoms, the law of the
+count of an exchangeable vector, or independent margins.  The cdf admits two
+algebraically equal expressions:
 
-* the stochastic form, a mixture over atoms of products of per-margin
-  conditional cdfs (fast: O(#atoms * d / 4) multiplications per point
-  through the blocked contraction of :meth:`BernoulliPmf.expect_products`,
-  fewer when dense supports are grouped; the factor tables are computed one
-  contraction chunk of points at a time, so transient memory does not grow
-  with the number of points);
+* the stochastic form, E[prod_m of per-margin conditional cdfs] contracted
+  by the law: O(#atoms * d / 4) multiplications per point through the
+  blocked contraction of :meth:`BernoulliPmf.expect_products` (fewer when
+  dense supports are grouped), O(d^2) through the weight-class sums of a
+  count law, O(d) for independent margins.  The factor tables are computed
+  one contraction chunk of points at a time, so transient memory does not
+  grow with the number of points;
 * the natural (polynomial) form with centered coefficients
   nu_S = E[prod_{j in S}(I_j - p_j)/p_j] multiplying
   prod_{j in S}(1 - u_j^{p_j/(1-p_j)}) (an exponential-size verification
@@ -33,13 +36,14 @@ b = p/(1-p); when all p_m = 1/2 it reduces to the classical FGM family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .bernoulli import (
     BernoulliPmf,
+    IndependenceLaw,
     InvalidDistributionError,
     _popcount,
     _subset_products,
@@ -98,22 +102,25 @@ def _pow_log(u: np.ndarray, expo) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GfgmCopula:
-    """Copula defined by a Bernoulli pmf and its margin (shape) vector.
+    """Copula defined by a law of the Bernoulli vector and its margin (shape) vector.
 
-    ``p`` defaults to the margins derived from the pmf; if given explicitly
-    it must match them to within 1e-10 componentwise.
+    ``law`` is a :class:`BernoulliPmf`, an :class:`IndependenceLaw` or an
+    ``ExchangeableCountPmf``.  ``p`` defaults to the law's margins; if given
+    explicitly it must match them to within 1e-10 componentwise.
     """
 
-    bernoulli: BernoulliPmf
+    law: object
     p: np.ndarray = None
+    _p_given: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        derived = marginals(self.bernoulli)
+        derived = self.law.margins
+        object.__setattr__(self, "_p_given", self.p is not None)
         if self.p is None:
             p = derived
         else:
             p = validate_margins(self.p)
-            if p.size != self.bernoulli.d:
+            if p.size != self.law.d:
                 raise InvalidDistributionError("shape vector length must equal pmf dimension")
             if np.max(np.abs(p - derived)) > 1e-10:
                 raise InvalidDistributionError(
@@ -123,7 +130,16 @@ class GfgmCopula:
 
     @property
     def d(self) -> int:
-        return self.bernoulli.d
+        return self.law.d
+
+    @cached_property
+    def bernoulli(self) -> BernoulliPmf:
+        """The law as atoms, which sampling and the exponential oracles read.
+
+        An atom law is its own; count and independence laws are expanded on
+        first use, which needs d <= 20.
+        """
+        return self.law.as_atoms()
 
     @classmethod
     def from_pmf(cls, pmf: BernoulliPmf) -> "GfgmCopula":
@@ -131,9 +147,7 @@ class GfgmCopula:
 
     @classmethod
     def independence(cls, p) -> "GfgmCopula":
-        from .bernoulli import independent
-
-        return cls(independent(p))
+        return cls(IndependenceLaw(p))
 
     @classmethod
     def comonotone(cls, p) -> "GfgmCopula":
@@ -157,15 +171,15 @@ class GfgmCopula:
         return survival(self, u)
 
 
-def _mix_over_atoms(c: GfgmCopula, u, factors):
-    """E over the Bernoulli atoms of prod_m of the factor pairs ``factors(c, block)``.
+def _expect(c: GfgmCopula, u, factors):
+    """E under the law of I of prod_m of the factor pairs ``factors(c, block)``.
 
     The factor pairs are computed one contraction chunk of points at a time,
     so no (n, d) temporary is made and transient memory does not grow with
     the number of points; the values are those of one call over all points.
     """
     pts, single = _as_points(u, c.d)
-    out = c.bernoulli._expect_chunks(pts.shape[0], lambda s, e: factors(c, pts[s:e]))
+    out = c.law._expect_chunks(pts.shape[0], lambda s, e: factors(c, pts[s:e]))
     return float(out[0]) if single else out
 
 
@@ -186,8 +200,8 @@ def _survival_factors(c: GfgmCopula, pts: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def cdf(c: GfgmCopula, u):
-    """Joint cdf C(u), mixture over the Bernoulli atoms (stochastic form)."""
-    return _mix_over_atoms(c, u, _cdf_factors)
+    """Joint cdf C(u), an expectation under the law of I (stochastic form)."""
+    return _expect(c, u, _cdf_factors)
 
 
 def cdf_natural(c: GfgmCopula, u):
@@ -211,7 +225,7 @@ def cdf_natural(c: GfgmCopula, u):
 
 def pdf(c: GfgmCopula, u):
     """Copula density; boundary points evaluate the continuous extension."""
-    return _mix_over_atoms(c, u, _pdf_factors)
+    return _expect(c, u, _pdf_factors)
 
 
 def survival(c: GfgmCopula, u):
@@ -220,7 +234,7 @@ def survival(c: GfgmCopula, u):
     Uses conditional independence given the Bernoulli vector, so it costs the
     same as one cdf evaluation.
     """
-    return _mix_over_atoms(c, u, _survival_factors)
+    return _expect(c, u, _survival_factors)
 
 
 def survival_by_cdf(c: GfgmCopula, u):

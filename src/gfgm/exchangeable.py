@@ -2,9 +2,11 @@
 
 An exchangeable Bernoulli vector is determined by the law of its count
 N = I_1 + ... + I_d: every outcome of weight k carries mass q_k / C(d, k).
-That O(d) representation is the primary object here; expansion to atom form
-is lazy and gated, and the weight-class sums of ``expect_products`` give the
-association measures and the mixture-copula cdf without touching 2^d outcomes.
+That O(d) representation is the primary object here, and a law a copula
+evaluates through directly: the weight-class sums of its contraction give
+the cdf, density, survival function and association measures without
+touching 2^d outcomes.  Expansion to atom form is gated to d <= 20 and is
+needed only for sampling and the exponential oracles.
 
 The module also covers the geometry of the exchangeable class for a fixed
 margin p: its extremal count pmfs (two-point laws straddling pd, plus the
@@ -23,13 +25,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .association import AssociationReport, _report
+from .association import AssociationReport, measures
 from .bernoulli import (
+    CHUNK_ELEMENTS,
     PROB_ATOL,
     SUM_SLACK,
     BernoulliPmf,
     InvalidDistributionError,
+    _check_atom_form,
     _check_dense_dim,
+    _Law,
+    _over_chunks,
     _popcount,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
@@ -53,7 +59,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class ExchangeableCountPmf:
+class ExchangeableCountPmf(_Law):
     """Law of the count N = I_1 + ... + I_d of an exchangeable vector.
 
     ``q[k] = Pr(N = k)`` for k = 0..d.  The common margin is p = E[N]/d and
@@ -92,15 +98,32 @@ class ExchangeableCountPmf:
         """q_k / C(d, k): the mass of each single outcome of weight k."""
         return self.q / np.array([math.comb(self.d, k) for k in range(self.d + 1)], dtype=float)
 
-    def expect_products(self, f0, f1) -> np.ndarray:
-        """E[prod_j f(i, j, I_j)] per point i, as :meth:`BernoulliPmf.expect_products`.
+    margins = property(lambda self: np.full(self.d, self.p))
 
-        Weight class k weighs its sum of products by q_k / C(d, k), O(n d^2).
+    @property
+    def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The outcome with its first k components on stands for weight class k.
+
+        Tau's inner expectation depends on an outcome only through its weight.
         """
-        # exact power-of-two scaling to |f0| + |f1| in [1, 2): sums stay finite to d ~ 1000
-        shift = np.frexp(np.abs(f0) + np.abs(f1))[1] - 1
-        sums = _weight_class_sums(np.ldexp(f0, -shift), np.ldexp(f1, -shift))
-        return np.ldexp(sums @ self._outcome_mass, shift.sum(axis=1))
+        support = np.flatnonzero(self.q)
+        return (np.arange(self.d) < support[:, None]).astype(float), self.q[support]
+
+    def as_atoms(self) -> BernoulliPmf:
+        _check_atom_form(self.d)
+        return expand(self)
+
+    def _expect_chunks(self, n: int, factor_pairs) -> np.ndarray:
+        """Weight class k weighs its sum of products by q_k / C(d, k), O(n d^2)."""
+
+        def contract(f0, f1):
+            # exact power-of-two scaling to |f0| + |f1| in [1, 2): sums stay finite to d ~ 1000
+            shift = np.frexp(np.abs(f0) + np.abs(f1))[1] - 1
+            sums = _weight_class_sums(np.ldexp(f0, -shift), np.ldexp(f1, -shift))
+            return np.ldexp(sums @ self._outcome_mass, shift.sum(axis=1))
+
+        step = max(1, CHUNK_ELEMENTS // (4 * (self.d + 1)))
+        return _over_chunks(n, step, factor_pairs, contract)
 
 
 def _weight_class_sums(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
@@ -350,26 +373,26 @@ def _beta_binomial_count_pmf(alpha: float, beta: float, d: int) -> ExchangeableC
 
 def beta_mixture_copula(alpha: float, beta: float, d: int) -> GfgmCopula:
     """Exchangeable copula mixed by Beta(alpha, beta); margin alpha/(alpha+beta)."""
-    return GfgmCopula.from_pmf(expand(_beta_binomial_count_pmf(alpha, beta, int(d))))
+    return GfgmCopula(_beta_binomial_count_pmf(alpha, beta, int(d)))
 
-
-# ---------------------------------------------------------------------------
-# Association measures from the count law (no 2^d expansion)
-# ---------------------------------------------------------------------------
 
 def measures_exchangeable(cp: ExchangeableCountPmf) -> AssociationReport:
-    """Closed-form measures from the count pmf alone, O(s d^2) for s support points.
-
-    Tau's inner expectation depends on an outcome only through its weight k,
-    so the outcome with its first k components on stands for its class.
-    """
-    support = np.flatnonzero(cp.q)
-    return _report(cp, cp.p, np.arange(cp.d) < support[:, None], cp.q[support])
+    """Closed-form measures of the count law's copula, O(s d^2) for s support points."""
+    return measures(GfgmCopula(cp))
 
 
 # ---------------------------------------------------------------------------
 # Spec strings used by the command-line front end
 # ---------------------------------------------------------------------------
+
+# kind -> (expected form, number of values; None for any)
+_SPEC_FORMS = {
+    "counts": ("counts:q0,q1,...,qd", None),
+    "end": ("end:p", 1),
+    "comonotone": ("comonotone:p", 1),
+    "beta": ("beta:alpha,beta", 2),
+}
+
 
 def parse_exchangeable_spec(text: str, d: int | None = None) -> ExchangeableCountPmf:
     """Build a count pmf from a compact string.
@@ -379,19 +402,22 @@ def parse_exchangeable_spec(text: str, d: int | None = None) -> ExchangeableCoun
     """
     kind, _, arg = text.partition(":")
     kind = kind.strip().lower()
+    if kind not in _SPEC_FORMS:
+        raise InvalidDistributionError(f"unknown exchangeable spec kind {kind!r}")
+    form, arity = _SPEC_FORMS[kind]
+    try:
+        args = [float(s) for s in arg.split(",")]
+    except ValueError:
+        args = None
+    if args is None or arity not in (None, len(args)):
+        raise InvalidDistributionError(f"malformed exchangeable spec {text!r}: expected {form}")
     if kind == "counts":
-        q = np.array([float(s) for s in arg.split(",")])
-        cp = ExchangeableCountPmf(q.size - 1, q)
+        cp = ExchangeableCountPmf(len(args) - 1, np.array(args))
         if d is not None and cp.d != d:
             raise InvalidDistributionError(f"counts imply d={cp.d}, but d={d} given")
         return cp
     if d is None:
         raise InvalidDistributionError(f"exchangeable spec {kind!r} needs the dimension d")
-    if kind == "end":
-        return end_count_pmf(float(arg), d)
-    if kind == "comonotone":
-        return comonotone_count_pmf(float(arg), d)
     if kind == "beta":
-        alpha_s, beta_s = arg.split(",")
-        return _beta_binomial_count_pmf(float(alpha_s), float(beta_s), d)
-    raise InvalidDistributionError(f"unknown exchangeable spec kind {kind!r}")
+        return _beta_binomial_count_pmf(*args, d)
+    return {"end": end_count_pmf, "comonotone": comonotone_count_pmf}[kind](*args, d)

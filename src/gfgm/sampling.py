@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationReport, _prefactor
-from .bernoulli import BernoulliPmf
+from .bernoulli import BernoulliPmf, marginals
 from .copula import GfgmCopula
 
 GENERATOR_ID = "philox4x64-ss3-v1"
@@ -89,15 +89,22 @@ def sample_bernoulli(pmf: BernoulliPmf, n: int, seed: int) -> np.ndarray:
 
 
 def sample(c: GfgmCopula, n: int, seed: int) -> SampleBatch:
-    """Draw n replicates of the copula into an (n, d) batch."""
+    """Draw n replicates of the copula into an (n, d) batch.
+
+    Every law is sampled through its atom form, with the margins the atom
+    copula has: the given ``p``, else those of the atoms.  So a count-law or
+    independence copula draws the same stream as its expansion (d <= 20).
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    pmf = c.bernoulli
+    p = c.p if c._p_given else marginals(pmf)
     gen_i, gen_u0, gen_u1 = _spawn_generators(seed)
-    masks = _categorical_masks(c.bernoulli, n, gen_i)
+    masks = _categorical_masks(pmf, n, gen_i)
     u0 = _open_uniform(gen_u0, (n, c.d))
     u1 = _open_uniform(gen_u1, (n, c.d))
     bits = ((masks[:, None] >> np.arange(c.d)[None, :]) & 1).astype(bool)
-    values = u0 ** (1.0 - c.p)[None, :] * np.where(bits, u1, 1.0)
+    values = u0 ** (1.0 - p)[None, :] * np.where(bits, u1, 1.0)
     return SampleBatch(n, c.d, values, int(seed))
 
 

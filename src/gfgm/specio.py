@@ -21,7 +21,7 @@ import numpy as np
 
 from .bernoulli import InvalidDistributionError, load_pmf_file
 from .copula import GfgmCopula
-from .exchangeable import expand, parse_exchangeable_spec
+from .exchangeable import parse_exchangeable_spec
 
 _KEYS = {"d", "p", "pmf_file", "exchangeable", "theta"}
 
@@ -69,7 +69,7 @@ def build_copula(
         if d is None and p_arr is not None:
             d = p_arr.size
         cp = parse_exchangeable_spec(exchangeable, d)
-        return GfgmCopula(expand(cp), p_arr)
+        return GfgmCopula(cp, p_arr)
     if theta is not None:
         if p_arr is None or p_arr.size != 2:
             raise InvalidDistributionError("theta form needs p with exactly 2 entries")

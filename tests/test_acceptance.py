@@ -21,6 +21,7 @@ from gfgm import (
     check_concordance,
     comonotone_count_pmf,
     empirical_measures,
+    end_count_pmf,
     end_pmf,
     expand,
     extremal_count_pmfs,
@@ -31,6 +32,7 @@ from gfgm import (
     max_measures_gfgm_p,
     measures,
     measures_by_quadrature,
+    measures_exchangeable,
     min_measures_exchangeable,
     mixture_copula_cdf,
     mixture_count_pmf,
@@ -335,3 +337,27 @@ def test_criterion_9_exchangeable_machinery():
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-10
     _report(9, f"(reconstruction resid {worst_resid:.1e}, two-path gap {worst_gap:.1e})")
+
+
+def test_criterion_10_count_and_independence_laws_at_scale(tmp_path):
+    """Exchangeable and independence specs evaluate without 2^d atoms, each under 2 s."""
+    runs = {
+        "end-d20": ["--d", "20", "--exchangeable", "end:0.4"],
+        "beta-d300": ["--d", "300", "--exchangeable", "beta:2,3"],
+        "independence-d40": ["--p", ",".join(["0.3"] * 40)],
+    }
+    worst = 0.0
+    for name, args in runs.items():
+        out = tmp_path / f"{name}.csv"
+        start = time.perf_counter()
+        assert main(["measures", *args, "--out", str(out)]) == 0
+        elapsed = time.perf_counter() - start
+        worst = max(worst, elapsed)
+        assert elapsed < 2.0, name
+        rows = {r.split(",")[0]: float(r.split(",")[4]) for r in out.read_text().splitlines()[1:]}
+        if name == "end-d20":
+            want = measures_exchangeable(end_count_pmf(0.4, 20))
+            assert rows == {k: float(f"{getattr(want, k):.12g}") for k in rows}
+        if name == "independence-d40":
+            assert all(abs(v) < 1e-12 for v in rows.values())
+    _report(10, f"(slowest {worst:.3f}s)")

@@ -198,6 +198,17 @@ class TestMeasures:
         assert out == ""
         assert "Beta parameters" in err
 
+    @pytest.mark.parametrize(
+        "spec, form",
+        [("beta:2", "beta:alpha,beta"), ("end:", "end:p"), ("end:abc", "end:p"),
+         ("end", "end:p"), ("counts:", "counts:q0,q1,...,qd")],
+    )
+    def test_malformed_exchangeable_spec(self, capsys, spec, form):
+        code, out, err = _run(capsys, ["measures", "--d", "3", "--exchangeable", spec])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed exchangeable spec {spec!r}: expected {form}\n"
+
     def test_verify_rejects_nan_gap(self, capsys, monkeypatch):
         nan = association.AssociationReport(np.nan, np.nan, np.nan, np.nan, 2, "quadrature")
         monkeypatch.setattr(association, "measures_by_quadrature", lambda c, nodes: nan)
@@ -277,6 +288,13 @@ class TestSample:
         data = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
         assert data.shape == (10, 3)
         assert data.min() > 0 and data.max() < 1
+
+    def test_count_law_above_the_atom_range(self, capsys):
+        argv = ["sample", "--d", "25", "--exchangeable", "end:0.4", "--n", "5", "--seed", "1"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "still sampled through atoms (d <= 20)" in err
 
 
 class TestPdfGrid:

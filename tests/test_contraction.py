@@ -25,7 +25,7 @@ from gfgm import (
     tau,
 )
 from gfgm.association import _orthant_kernels, _tau_kernel
-from gfgm.bernoulli import CHUNK_ELEMENTS
+from gfgm.bernoulli import CHUNK_ELEMENTS, IndependenceLaw
 from gfgm.copula import _cdf_factors, _pow_log
 
 
@@ -172,11 +172,26 @@ def test_both_schedules_match_atom_loop(name, build, grouped):
     np.testing.assert_allclose(got, _atom_loop(pmf, f0, f1), rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("evaluate", [cdf, pdf, survival], ids=["cdf", "pdf", "survival"])
-def test_evaluation_memory_does_not_grow_with_points(evaluate):
+# (law builder, points): about 1.3M point values each, 10 MB allocated
+# before tracing; an unchunked count law would hold several (n, d+1) tables
+MEMORY_LAWS = {
+    "comonotone-d63": (lambda rng: comonotonic(rng.uniform(0.2, 0.8, size=63)), 20000),
+    "count-d300": (lambda rng: ExchangeableCountPmf(300, rng.dirichlet(np.ones(301))), 4200),
+    "independence-d300": (lambda rng: IndependenceLaw(rng.uniform(0.2, 0.8, size=300)), 4200),
+}
+MEMORY_CASES = [
+    pytest.param(f, law, id=f.__name__ if law == "comonotone-d63" else f"{f.__name__}-{law}")
+    for law in MEMORY_LAWS
+    for f in (cdf, pdf, survival)
+]
+
+
+@pytest.mark.parametrize("evaluate, law", MEMORY_CASES)
+def test_evaluation_memory_does_not_grow_with_points(evaluate, law):
     rng = np.random.default_rng(20000)
-    c = GfgmCopula(comonotonic(rng.uniform(0.2, 0.8, size=63)))
-    pts = rng.uniform(size=(20000, 63))  # 10 MB, allocated before tracing
+    build, n = MEMORY_LAWS[law]
+    c = GfgmCopula(build(rng))
+    pts = rng.uniform(size=(n, c.d))
     evaluate(c, pts[:1])  # builds the contraction plan
     tracemalloc.start()
     try:

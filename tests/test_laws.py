@@ -1,0 +1,145 @@
+"""One copula over three laws of I: atoms, the count law and independent margins.
+
+The count and independence laws must agree with their atom expansions on
+every evaluated quantity, reach dimensions the expansion cannot, and leave
+every sampling stream byte for byte that of the expansion.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gfgm.bernoulli
+import gfgm.exchangeable
+from gfgm import (
+    ExchangeableCountPmf,
+    GfgmCopula,
+    InvalidDistributionError,
+    MixtureSpec,
+    build_copula,
+    cdf,
+    cdf_epd,
+    comonotone_count_pmf,
+    end_count_pmf,
+    expand,
+    independent,
+    measures,
+    mixture_copula_cdf,
+    mixture_count_pmf,
+    pdf,
+    sample,
+    survival,
+)
+
+MEASURES = ("rho_cL", "rho_cU", "rho_c", "tau")
+
+
+def _assert_same_copula(c, atoms, pts):
+    # the absolute floors cover values that are 0 up to round-off: survival
+    # at u_m = 1, and the measures of (near-)independent laws, where the
+    # atom route leaves about 3 * 4e-16 at d = 2
+    for f in (cdf, pdf, survival):
+        np.testing.assert_allclose(f(c, pts), f(atoms, pts), rtol=1e-12, atol=1e-15)
+    got, want = measures(c), measures(atoms)
+    for name in MEASURES:
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-14)
+
+
+_margin = st.floats(0.05, 0.95)
+_points = st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed))
+
+
+@st.composite
+def _count_laws(draw):
+    d = draw(st.integers(2, 10))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=d + 1, max_size=d + 1))
+    q = np.asarray(weights) + 1e-3 * np.arange(1, d + 2) % 3  # some mass off both ends
+    return ExchangeableCountPmf(d, q / q.sum())
+
+
+class TestAgreesWithAtoms:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_count_laws(), _points)
+    def test_count_law(self, cp, rng):
+        pts = rng.uniform(size=(50, cp.d))
+        pts[0, 0], pts[1, -1] = 0.0, 1.0
+        _assert_same_copula(GfgmCopula(cp), GfgmCopula(expand(cp)), pts)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(_margin, min_size=2, max_size=10), _points)
+    def test_independence_law(self, p, rng):
+        pts = rng.uniform(size=(50, len(p)))
+        pts[0, 0], pts[1, -1] = 0.0, 1.0
+        _assert_same_copula(GfgmCopula.independence(p), GfgmCopula(independent(p)), pts)
+
+
+class TestBeyondTheAtoms:
+    def test_comonotone_count_law_is_epd(self):
+        rng = np.random.default_rng(200)
+        pts = rng.uniform(0.9, 1.0, size=(40, 200))
+        c = GfgmCopula(comonotone_count_pmf(0.3, 200))
+        np.testing.assert_allclose(cdf(c, pts), cdf_epd(0.3, 200, pts), rtol=1e-12, atol=0)
+
+    def test_mixture_count_law_is_mixture_cdf(self):
+        rng = np.random.default_rng(201)
+        spec = MixtureSpec.from_quadrature(np.sort(rng.uniform(0.05, 0.95, 8)), rng.dirichlet(np.ones(8)))
+        pts = rng.uniform(0.9, 1.0, size=(40, 200))
+        c = GfgmCopula(mixture_count_pmf(spec, 200))
+        np.testing.assert_allclose(cdf(c, pts), mixture_copula_cdf(spec, 200, pts), rtol=1e-10, atol=0)
+
+    def test_independence_law_is_product(self):
+        rng = np.random.default_rng(202)
+        c = GfgmCopula.independence(rng.uniform(0.05, 0.95, size=200))
+        pts = rng.uniform(0.9, 1.0, size=(40, 200))
+        np.testing.assert_allclose(cdf(c, pts), pts.prod(axis=1), rtol=1e-12, atol=0)
+        report = measures(c)
+        for name in MEASURES:
+            assert abs(getattr(report, name)) < 1e-12
+
+    def test_sampling_above_the_atom_range_is_refused(self):
+        for c in (GfgmCopula(end_count_pmf(0.4, 25)), GfgmCopula.independence([0.4] * 25)):
+            with pytest.raises(InvalidDistributionError, match="sampled through atoms"):
+                sample(c, 5, seed=1)
+
+    def test_atom_laws_keep_their_cap(self):
+        with pytest.raises(InvalidDistributionError, match="dimension"):
+            GfgmCopula.comonotone([0.5] * 64)
+
+
+class TestSamplingStreams:
+    def test_count_law_draws_the_expansion_stream(self):
+        rng = np.random.default_rng(300)
+        for _ in range(20):
+            cp = end_count_pmf(float(rng.uniform(0.05, 0.95)), int(rng.integers(2, 11)))
+            for p in (None, np.full(cp.d, cp.p)):
+                got = sample(GfgmCopula(cp, p), 200, seed=7).values
+                want = sample(GfgmCopula(expand(cp), p), 200, seed=7).values
+                assert got.tobytes() == want.tobytes()
+
+    def test_independence_law_draws_the_expansion_stream(self):
+        rng = np.random.default_rng(301)
+        for d in (2, 5, 9):
+            p = rng.uniform(0.05, 0.95, size=d)
+            got = sample(GfgmCopula.independence(p), 200, seed=8).values
+            want = sample(GfgmCopula(independent(p)), 200, seed=8).values
+            assert got.tobytes() == want.tobytes()
+
+
+def test_specs_evaluate_without_expanding(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expanded to atoms")
+
+    monkeypatch.setattr(gfgm.exchangeable, "expand", refuse)
+    monkeypatch.setattr(gfgm.bernoulli, "independent", refuse)
+    pts = np.full((3, 8), 0.5)
+    for c in (
+        build_copula(d=8, exchangeable="end:0.4"),
+        build_copula(d=8, exchangeable="beta:2,3"),
+        build_copula(exchangeable="counts:" + ",".join(["0.1"] * 8) + ",0.2"),
+        build_copula(p=np.linspace(0.2, 0.8, 8)),
+    ):
+        assert np.all(np.isfinite(cdf(c, pts)))
+        assert np.isfinite(measures(c).tau)
+        with pytest.raises(AssertionError, match="expanded"):
+            c.bernoulli

@@ -24,6 +24,12 @@ G(1,0) = (3-p)/(2(2-p)), G(0,1) = (1-p)/(2(2-p))).
 A tensor-product Gauss-Legendre quadrature of the defining integrals is
 provided as an independent oracle for d = 2, and lattice grid checks decide
 pointwise concordance ordering between two copulas sharing a shape vector.
+Both evaluate on tensor grids, where the copula is a rank-n_atoms tensor:
+with the per-margin factors of each atom computed on the g * d axis values,
+the g^d grid values are one matrix product of (g^(d//2), n_atoms) by
+(n_atoms, g^(d - d//2)) factors, n_atoms * g^d multiply-adds
+(``copula._grid``).  The concordance check multiplies one block of rows at
+a time, so its memory stays bounded and no (g^d, d) point array is built.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli import InvalidDistributionError
-from .copula import GfgmCopula, cdf, pdf, survival
+from .copula import GfgmCopula, _cdf_factors, _grid, _pdf_factors, _survival_factors
 
 __all__ = [
     "AssociationReport",
@@ -213,6 +219,8 @@ def gauss_legendre_unit(n: int, grading: int = 3) -> tuple[np.ndarray, np.ndarra
     for extreme margins; grading restores fast convergence that plain
     Gauss-Legendre loses on such endpoint behaviour.
     """
+    if not grading > 0:  # also rejects NaN
+        raise ValueError("grading must be positive")
     from scipy.special import roots_legendre
 
     x, w = roots_legendre(n)
@@ -227,20 +235,21 @@ def measures_by_quadrature(c: GfgmCopula, nodes: int = 96, grading: int = 3) -> 
     """Direct numeric evaluation of the defining integrals (d = 2 only).
 
     Tensor-product Gauss-Legendre with at least 64 nodes per axis; serves as
-    the independent oracle for the closed forms.
+    the independent oracle for the closed forms.  The cdf and the density
+    on the nodes^2 grid are each one rank-n_atoms matrix product
+    (``copula._grid``), with the factor pairs computed on the 2 * nodes axis
+    values only.
     """
     if c.d != 2:
         raise InvalidDistributionError("quadrature oracle is bivariate only")
     if nodes < 64:
         raise ValueError("use at least 64 nodes per axis")
     x, w = gauss_legendre_unit(nodes, grading)
-    uu, vv = np.meshgrid(x, x, indexing="ij")
-    pts = np.column_stack([uu.ravel(), vv.ravel()])
     weights = np.outer(w, w).ravel()
-    cvals = cdf(c, pts)
-    dens = pdf(c, pts)
+    cvals = np.dot(*_grid(c, x, _cdf_factors)).ravel()
+    dens = np.dot(*_grid(c, x, _pdf_factors)).ravel()
     int_c_dperp = float(weights @ cvals)
-    int_perp_dc = float(weights @ (pts.prod(axis=1) * dens))
+    int_perp_dc = float(weights @ (np.outer(x, x).ravel() * dens))
     int_c_dc = float(weights @ (cvals * dens))
     pref = _prefactor(2)
     lo = pref * (4.0 * int_c_dperp - 1.0)
@@ -255,6 +264,8 @@ def measures_by_quadrature(c: GfgmCopula, nodes: int = 96, grading: int = 3) -> 
 
 CONCORDANCE_SLACK = 1e-10
 _GRID_DEFAULT = {2: 21, 3: 21, 4: 21, 5: 9, 6: 9}
+#: grid values compared per block, per copula and side
+_GRID_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -287,12 +298,16 @@ def check_concordance(
 ) -> ConcordanceResult:
     """Compare two copulas with a common shape vector on a lattice grid.
 
-    Evaluates both cdfs and both survival functions on a uniform interior
-    grid and reports the dominances that hold up to a -1e-10 slack.  The
-    survival side uses the conditional-independence form, one contraction
-    like the cdf (property-tested against inclusion-exclusion).  Copulas
-    with different shape vectors are not dependence-comparable and are
-    rejected.
+    Evaluates both cdfs and both survival functions on the uniform interior
+    grid {1, ..., g}^d / (g + 1) and reports the dominances that hold up to
+    a -1e-10 slack; g must be a positive integer.  The survival side uses
+    the conditional-independence form, like the cdf (property-tested against
+    inclusion-exclusion).  Each of the four grids is a rank-n_atoms product
+    of the atom form's factors (at most 64 atoms at d <= 6), computed on the
+    g * d axis values and multiplied out one block of about 2^16 grid values
+    at a time: n_atoms * g^d multiply-adds per grid, and memory that does
+    not grow with g^d.  Copulas with different shape vectors are not
+    dependence-comparable and are rejected.
     """
     if c1.d != c2.d:
         raise InvalidDistributionError("copulas must share the dimension")
@@ -304,16 +319,19 @@ def check_concordance(
     if d > 6:
         raise InvalidDistributionError("grid concordance checks support d <= 6")
     g = _GRID_DEFAULT[d] if grid_points_per_axis is None else grid_points_per_axis
+    if not isinstance(g, (int, np.integer)):
+        raise InvalidDistributionError("grid_points_per_axis must be an integer")
     if g < 1:
         raise InvalidDistributionError("grid_points_per_axis must be at least 1")
     axis = np.arange(1, g + 1) / (g + 1.0)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    f1, f2 = cdf(c1, pts), cdf(c2, pts)
-    s1, s2 = survival(c1, pts), survival(c2, pts)
-    return ConcordanceResult(
-        cl_forward=bool(np.all(f1 <= f2 + CONCORDANCE_SLACK)),
-        cl_backward=bool(np.all(f2 <= f1 + CONCORDANCE_SLACK)),
-        cu_forward=bool(np.all(s1 <= s2 + CONCORDANCE_SLACK)),
-        cu_backward=bool(np.all(s2 <= s1 + CONCORDANCE_SLACK)),
-    )
+    # (cdf or survival side) x (c1, c2): the rank-n_atoms factors of each grid
+    sides = [[_grid(c, axis, f) for c in (c1, c2)] for f in (_cdf_factors, _survival_factors)]
+    step = max(1, _GRID_BLOCK // g ** (d - d // 2))
+    holds = [True] * 4  # cl_forward, cl_backward, cu_forward, cu_backward
+    for s in range(0, g ** (d // 2), step):
+        for k, ((left1, right1), (left2, right2)) in enumerate(sides):
+            v1 = left1[s : s + step] @ right1
+            v2 = left2[s : s + step] @ right2
+            holds[2 * k] &= bool(np.all(v1 <= v2 + CONCORDANCE_SLACK))
+            holds[2 * k + 1] &= bool(np.all(v2 <= v1 + CONCORDANCE_SLACK))
+    return ConcordanceResult(*holds)

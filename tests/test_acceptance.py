@@ -361,3 +361,19 @@ def test_criterion_10_count_and_independence_laws_at_scale(tmp_path):
         if name == "independence-d40":
             assert all(abs(v) < 1e-12 for v in rows.values())
     _report(10, f"(slowest {worst:.3f}s)")
+
+
+def test_criterion_11_order_check_at_d6(tmp_path):
+    """`gfgm order-check` at the largest supported d, END below comonotone, under 0.2 s."""
+    specs = {}
+    for name in ("end", "comonotone"):
+        specs[name] = tmp_path / f"{name}.spec"
+        specs[name].write_text(f"d=6\nexchangeable={name}:0.45\n")
+    out = tmp_path / "order.csv"
+    start = time.perf_counter()
+    assert main(["order-check", "--spec1", str(specs["end"]), "--spec2",
+                 str(specs["comonotone"]), "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    assert out.read_text().splitlines()[1] == "1,0,1,0,c_ordered"
+    assert elapsed < 0.2
+    _report(11, f"({elapsed:.3f}s)")

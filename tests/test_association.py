@@ -1,13 +1,19 @@
 """Association measures: closed forms, oracles, ordering consequences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gfgm import (
     AssociationReport,
+    BernoulliPmf,
+    ConcordanceResult,
     GfgmCopula,
     InvalidDistributionError,
+    cdf,
     check_concordance,
+    comonotone_count_pmf,
     end_count_pmf,
     end_pmf,
     max_measures_gfgm_p,
@@ -15,15 +21,29 @@ from gfgm import (
     measures_by_quadrature,
     measures_exchangeable,
     min_measures_exchangeable,
+    pdf,
     rho_c,
     rho_cL,
     rho_cU,
+    survival,
     tau,
     theta_bounds,
 )
 
-from conftest import random_copula, random_exchangeable_count
+from conftest import (
+    random_copula,
+    random_dense_pmf,
+    random_exchangeable_count,
+    random_sparse_pmf,
+)
+from gfgm.association import gauss_legendre_unit
+from gfgm.copula import _cdf_factors, _grid, _pdf_factors, _survival_factors
 from gfgm.exchangeable import expand
+
+
+def _mesh(axis, d):
+    """The points of meshgrid(*[axis] * d, indexing="ij"), one row each."""
+    return np.stack([m.ravel() for m in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
 
 
 class TestGenericMeasures:
@@ -139,6 +159,80 @@ class TestQuadratureOracle:
     def test_rejects_higher_dimensions(self):
         with pytest.raises(InvalidDistributionError):
             measures_by_quadrature(GfgmCopula.comonotone([0.5] * 3))
+
+    def test_matches_point_route_integrals(self, rng):
+        # the same sums as the grid route, formed from cdf and pdf at the points
+        x, w = gauss_legendre_unit(96)
+        pts = _mesh(x, 2)
+        weights = np.outer(w, w).ravel()
+        copulas = [GfgmCopula.independence([0.4, 0.7]), GfgmCopula.comonotone([0.2, 0.9])]
+        copulas.append(GfgmCopula(random_exchangeable_count(rng, 2)))
+        for _ in range(10):
+            p1, p2 = rng.uniform(0.05, 0.95, 2)
+            lo, hi = theta_bounds(p1, p2)
+            copulas.append(GfgmCopula.bivariate(p1, p2, rng.uniform(lo, hi)))
+        for c in copulas:
+            cv, dv = cdf(c, pts), pdf(c, pts)
+            want = (
+                3.0 * (4.0 * float(weights @ cv) - 1.0),
+                3.0 * (4.0 * float(weights @ (pts.prod(axis=1) * dv)) - 1.0),
+                4.0 * float(weights @ (cv * dv)) - 1.0,
+            )
+            got = measures_by_quadrature(c)
+            assert (got.rho_cL, got.rho_cU, got.tau) == pytest.approx(want, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("grading", [0, -1, np.nan])
+    def test_rejects_nonpositive_grading(self, grading):
+        # grading=0 puts every node at 1 and returned rho_cL = -3, tau = -1
+        with pytest.raises(ValueError, match="grading must be positive"):
+            gauss_legendre_unit(96, grading)
+        with pytest.raises(ValueError, match="grading must be positive"):
+            measures_by_quadrature(GfgmCopula.bivariate(0.4, 0.6, 0.5), 96, grading)
+
+
+def _grid_laws(rng, d):
+    """Atom pmfs (random sparse, comonotone, END), a count law and an independence law."""
+    p = rng.uniform(0.1, 0.9, size=d)
+    q = float(rng.uniform(0.1, 0.9))
+    return {
+        "sparse": GfgmCopula(random_sparse_pmf(rng, d)),
+        "comonotone": GfgmCopula.comonotone(p),
+        "end": GfgmCopula(end_pmf(q, d)),
+        "count": GfgmCopula(random_exchangeable_count(rng, d)),
+        "independence": GfgmCopula.independence(p),
+    }
+
+
+class TestGridEvaluator:
+    """``copula._grid``: the rank-n_atoms grid product against the point route."""
+
+    FACTORS = {"cdf": (_cdf_factors, cdf), "survival": (_survival_factors, survival),
+               "pdf": (_pdf_factors, pdf)}
+
+    @pytest.mark.parametrize("side", sorted(FACTORS))
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_points_in_meshgrid_order(self, side, d):
+        rng = np.random.default_rng(100 + d)
+        factors, route = self.FACTORS[side]
+        g = {2: 9, 3: 7, 4: 6, 5: 5, 6: 4}[d]
+        # unsorted axis with both boundary values: order and edges both count
+        axis = np.r_[0.0, rng.uniform(size=g - 2), 1.0][rng.permutation(g)]
+        pts = _mesh(axis, d)
+        for name, c in _grid_laws(rng, d).items():
+            left, right = _grid(c, axis, factors)
+            assert left.shape == (g ** (d // 2), c.bernoulli.n_atoms)
+            assert right.shape == (c.bernoulli.n_atoms, g ** (d - d // 2))
+            np.testing.assert_allclose(
+                (left @ right).ravel(), route(c, pts), rtol=1e-12, atol=1e-15, err_msg=name
+            )
+
+    def test_row_blocks_are_point_blocks(self, rng):
+        c = GfgmCopula(random_sparse_pmf(rng, 5))
+        axis = rng.uniform(size=6)
+        left, right = _grid(c, axis, _cdf_factors)
+        full = (left @ right).ravel()
+        block = 6**3
+        np.testing.assert_array_equal((left[7:11] @ right).ravel(), full[7 * block : 11 * block])
 
 
 class TestExchangeableMeasures:
@@ -280,6 +374,92 @@ class TestConcordanceChecks:
         c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
         res = check_concordance(c1, c2, 1)
         assert res.verdict == "c_ordered" and res.cl_backward and not res.cl_forward
+
+    @pytest.mark.parametrize("g", [2.5, 1.5])
+    def test_rejects_fractional_grid(self, g):
+        # 2.5 used to build arange(1, 3.5) / 3.5, not a uniform interior grid
+        c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
+        c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
+        with pytest.raises(InvalidDistributionError, match="integer"):
+            check_concordance(c1, c2, g)
+
+    def test_accepts_numpy_integer_grid(self):
+        c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
+        c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
+        assert check_concordance(c1, c2, np.int64(5)) == check_concordance(c1, c2, 5)
+
+    @staticmethod
+    def _pointwise(c1, c2, g):
+        """The flags from cdf and survival evaluated at every grid point."""
+        pts = _mesh(np.arange(1, g + 1) / (g + 1.0), c1.d)
+        f1, f2, s1, s2 = cdf(c1, pts), cdf(c2, pts), survival(c1, pts), survival(c2, pts)
+        slack = 1e-10
+        return ConcordanceResult(
+            bool(np.all(f1 <= f2 + slack)), bool(np.all(f2 <= f1 + slack)),
+            bool(np.all(s1 <= s2 + slack)), bool(np.all(s2 <= s1 + slack)),
+        )
+
+    @staticmethod
+    def _same_margin_laws(rng, d):
+        """Copulas sharing one shape vector, up to ulps."""
+        p = rng.uniform(0.15, 0.85, size=d)
+        ind, com = GfgmCopula.independence(p).bernoulli, GfgmCopula.comonotone(p).bernoulli
+        lam = float(rng.uniform(0.1, 0.9))
+        mix = {**{m: lam * q for m, q in ind.as_dict().items()}}
+        for m, q in com.as_dict().items():
+            mix[m] = mix.get(m, 0.0) + (1.0 - lam) * q
+        mixed = BernoulliPmf.from_dict(d, mix)
+        # a margin-preserving move, more concordant on margins (0, 1) and less
+        # on (1, 2): mostly incomparable with where it started
+        dense = random_dense_pmf(rng, d)
+        moved = dense.probs.copy()
+        if d > 2:
+            x = dense.bits[:, :3]
+            lower = dense.masks < 8  # every other component 0
+            sign = np.where(x[:, 0] == x[:, 1], 1.0, -1.0) - np.where(x[:, 1] == x[:, 2], 1.0, -1.0)
+            moved += np.where(lower, 0.4 * dense.probs.min() * sign, 0.0)
+        q = float(rng.uniform(0.15, 0.85))
+        cp = random_exchangeable_count(rng, d)
+        return [
+            [GfgmCopula(ind), GfgmCopula(com), GfgmCopula(mixed),
+             GfgmCopula(mixed, np.nextafter(mixed.margins, 1.0))],
+            [GfgmCopula(dense), GfgmCopula(BernoulliPmf(d, dense.masks, moved), dense.margins)],
+            [GfgmCopula(end_pmf(q, d)), GfgmCopula(comonotone_count_pmf(q, d)),
+             GfgmCopula.independence([q] * d)],
+            [GfgmCopula(cp), GfgmCopula(end_count_pmf(cp.p, d)),
+             GfgmCopula(expand(cp), np.nextafter(np.full(d, cp.p), 0.0))],
+        ]
+
+    def test_flags_match_pointwise_reference(self):
+        rng = np.random.default_rng(4040)
+        verdicts, checked = set(), 0
+        for d in (2, 3, 4, 5, 6, 3, 4):
+            for group in self._same_margin_laws(rng, d):
+                for c1 in group:
+                    for c2 in group:
+                        g = int(rng.integers(1, 9 if d < 5 else 5))
+                        if c1 is group[0] and c2 is group[0]:
+                            g = 1
+                        res = check_concordance(c1, c2, g)
+                        assert res == self._pointwise(c1, c2, g), (d, g)
+                        verdicts.add(res.verdict)
+                        checked += 1
+        assert checked >= 40
+        assert {"c_ordered", "incomparable"} <= verdicts
+
+    @pytest.mark.parametrize("d,g", [(6, None), (3, 101)])
+    def test_memory_is_bounded(self, d, g):
+        # the point route held the (g^d, d) points and four g^d-value grids
+        p = 0.45
+        c1, c2 = GfgmCopula(end_pmf(p, d)), GfgmCopula.comonotone([p] * d)
+        tracemalloc.start()
+        try:
+            res = check_concordance(c1, c2, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.verdict == "c_ordered"
+        assert peak <= 8_000_000
 
 
 class TestDimensionLimit:

@@ -3,8 +3,10 @@
 Subcommands: ``eval`` (cdf at points), ``pdf-grid`` (density on a lattice,
 d=2), ``measures`` (association report), ``tables`` (maximal/minimal measure
 grids over p and d), ``sample`` (seeded batches as CSV), ``extremals``
-(extremal exchangeable count pmfs), ``order-check`` (concordance grid
-comparison).  All outputs are CSV with ``#``-prefixed metadata comments.
+(extremal exchangeable count pmfs, written one row at a time),
+``order-check`` (concordance order, decided exactly from the moments of the
+two Bernoulli laws).  All outputs are CSV with ``#``-prefixed metadata
+comments.
 The numeric tables of ``sample``, ``pdf-grid`` and ``eval`` go through
 ``_write_rows``, which writes long chunks of ``%.Ng`` text (N <= 17) by an
 exact vectorised conversion, byte for byte what ``'%.Ng' % x`` writes, and
@@ -356,25 +358,23 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_extremals(args) -> int:
-    pmfs = exchangeable.extremal_count_pmfs(args.p, args.d)
+    rows = exchangeable._extremal_rows(args.p, args.d)
     with _output(args.out) as fh:
         print(f"# extremal exchangeable count pmfs p={args.p} d={args.d}", file=fh)
         print("type,j1,j2,w1,w2", file=fh)
-        for cp in pmfs:
-            support = np.nonzero(cp.q)[0]
-            if support.size == 1:
-                k = int(support[0])
-                print(f"degenerate,{k},{k},1,0", file=fh)
+        for j1, j2, w1, w2 in rows:
+            if j1 == j2:
+                fh.write(f"degenerate,{j1},{j2},1,0\n")
             else:
-                j1, j2 = (int(s) for s in support)
-                print(f"two_point,{j1},{j2},{cp.q[j1]:.12g},{cp.q[j2]:.12g}", file=fh)
+                total = w1 + w2  # as ExchangeableCountPmf normalises its masses
+                fh.write(f"two_point,{j1},{j2},{w1 / total:.12g},{w2 / total:.12g}\n")
     return 0
 
 
 def _cmd_order_check(args) -> int:
     c1 = load_copula_spec(args.spec1)
     c2 = load_copula_spec(args.spec2)
-    res = association.check_concordance(c1, c2, args.grid)
+    res = association.check_concordance(c1, c2)
     with _output(args.out) as fh:
         print("cl_forward,cl_backward,cu_forward,cu_backward,verdict", file=fh)
         print(
@@ -444,10 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--out")
     p_ext.set_defaults(func=_cmd_extremals)
 
-    p_ord = sub.add_parser("order-check", help="concordance comparison of two copulas")
+    p_ord = sub.add_parser("order-check", help="exact concordance order of two copulas")
     p_ord.add_argument("--spec1", required=True)
     p_ord.add_argument("--spec2", required=True)
-    p_ord.add_argument("--grid", type=int, help="grid points per axis")
     p_ord.add_argument("--out")
     p_ord.set_defaults(func=_cmd_order_check)
     return parser

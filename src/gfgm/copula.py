@@ -191,11 +191,9 @@ def _grid(c: GfgmCopula, axis, factors) -> tuple[np.ndarray, np.ndarray]:
     with h = d // 2.  Returns ``left`` (g^h, n_atoms), the first products
     weighted by pi, and ``right`` (n_atoms, g^(d-h)), the second ones:
     ``(left @ right).ravel()`` holds the values at the points of
-    ``meshgrid(*[axis] * d, indexing="ij")`` in that order, and rows
-    s .. e-1 of ``left`` give the values of those points whose first h
-    coordinates form grid index s .. e-1.  The factor pairs are computed on
-    the g * d axis values only; the whole grid costs n_atoms * g^d
-    multiply-adds in one matrix product.
+    ``meshgrid(*[axis] * d, indexing="ij")`` in that order.  The factor
+    pairs are computed on the g * d axis values only; the whole grid costs
+    n_atoms * g^d multiply-adds in one matrix product.
     """
     atoms = c.bernoulli
     axis = np.asarray(axis, dtype=float)

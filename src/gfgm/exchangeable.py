@@ -19,6 +19,7 @@ the Beta family worked out explicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,6 +97,10 @@ class ExchangeableCountPmf(_Law):
     @cached_property
     def _outcome_mass(self) -> np.ndarray:
         """q_k / C(d, k): the mass of each single outcome of weight k."""
+        if self.d > 1029:  # C(1030, 515) overflows a float
+            raise InvalidDistributionError(
+                f"count-law evaluation needs d <= 1029, where C(d, k) fits a float; got d={self.d}"
+            )
         return self.q / np.array([math.comb(self.d, k) for k in range(self.d + 1)], dtype=float)
 
     margins = property(lambda self: np.full(self.d, self.p))
@@ -181,6 +186,30 @@ def _split_pd(p: float, d: int) -> tuple[float, int | None]:
     return pd, (k if abs(pd - k) <= 1e-9 else None)
 
 
+def _extremal_rows(p: float, d: int):
+    """(j1, j2, w1, w2) of each extremal count law, in the order of :func:`extremal_count_pmfs`.
+
+    Two-point laws give their unnormalised masses (j2 - pd)/(j2 - j1) and
+    (pd - j1)/(j2 - j1); the degenerate law at an integer pd gives
+    (pd, pd, 1.0, 0.0).  The arguments are checked at the call and the rows
+    are then made one at a time, so a caller that writes them needs O(d)
+    memory, not the O(d^3) of all the laws.
+    """
+    if not PROB_ATOL < p < 1.0 - PROB_ATOL:
+        raise InvalidDistributionError("p must lie in (0, 1)")
+    if d < 2:
+        raise InvalidDistributionError("dimension must be >= 2")
+    pd, k = _split_pd(p, d)
+    if k is not None:
+        j1_max, j2_min, mean = k - 1, k + 1, float(k)
+    else:
+        j1_max = int(np.floor(pd))
+        j2_min, mean = j1_max + 1, pd
+    pairs = ((j1, j2) for j1 in range(j1_max + 1) for j2 in range(j2_min, d + 1))
+    rows = ((j1, j2, (j2 - mean) / (j2 - j1), (mean - j1) / (j2 - j1)) for j1, j2 in pairs)
+    return itertools.chain(rows, [] if k is None else [(k, k, 1.0, 0.0)])
+
+
 def extremal_count_pmfs(p: float, d: int) -> list[ExchangeableCountPmf]:
     """Extremal points of the exchangeable class with margin p.
 
@@ -189,28 +218,12 @@ def extremal_count_pmfs(p: float, d: int) -> list[ExchangeableCountPmf]:
     degenerate law at pd joins the list.  Every count pmf with mean pd is a
     convex combination of these.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidDistributionError("p must lie in (0, 1)")
     d = int(d)
-    pd, k = _split_pd(p, d)
     out: list[ExchangeableCountPmf] = []
-    if k is not None:
-        j1_max, j2_min = k - 1, k + 1
-        mean = float(k)
-    else:
-        j1_max = int(np.floor(pd))
-        j2_min = j1_max + 1
-        mean = pd
-    for j1 in range(0, j1_max + 1):
-        for j2 in range(j2_min, d + 1):
-            q = np.zeros(d + 1)
-            q[j1] = (j2 - mean) / (j2 - j1)
-            q[j2] = (mean - j1) / (j2 - j1)
-            assert abs(q[j1] + q[j2] - 1.0) < 1e-12
-            out.append(ExchangeableCountPmf(d, q))
-    if k is not None:
+    for j1, j2, w1, w2 in _extremal_rows(p, d):
         q = np.zeros(d + 1)
-        q[k] = 1.0
+        q[j1] += w1
+        q[j2] += w2
         out.append(ExchangeableCountPmf(d, q))
     return out
 
@@ -338,6 +351,14 @@ def mixture_count_pmf(spec: MixtureSpec, d: int) -> ExchangeableCountPmf:
             q[k] = math.comb(d, k) * math.fsum(terms)
     if np.any(q < -PROB_ATOL):
         raise InvalidDistributionError("moment sequence yields negative count mass")
+    total = float(q.sum())
+    if spec.moments is not None and not abs(total - 1.0) <= SUM_SLACK:
+        raise InvalidDistributionError(
+            f"count masses sum to {total}, not 1: the alternating moment sum cancelled "
+            f"at d={d}; a quadrature MixtureSpec (MixtureSpec.from_quadrature) avoids it, "
+            "and so does the Beta-binomial route for a Beta mixing law "
+            "(spec 'beta:alpha,beta' or beta_mixture_copula)"
+        )
     return ExchangeableCountPmf(d, q)
 
 

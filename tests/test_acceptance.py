@@ -377,3 +377,19 @@ def test_criterion_11_order_check_at_d6(tmp_path):
     assert out.read_text().splitlines()[1] == "1,0,1,0,c_ordered"
     assert elapsed < 0.2
     _report(11, f"({elapsed:.3f}s)")
+
+
+def test_criterion_12_order_check_at_d200(tmp_path):
+    """`gfgm order-check` of count laws at d = 200, END below comonotone, under 0.1 s."""
+    specs = {}
+    for name in ("end", "comonotone"):
+        specs[name] = tmp_path / f"{name}.spec"
+        specs[name].write_text(f"d=200\nexchangeable={name}:0.4\n")
+    out = tmp_path / "order.csv"
+    start = time.perf_counter()
+    assert main(["order-check", "--spec1", str(specs["end"]), "--spec2",
+                 str(specs["comonotone"]), "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    assert out.read_text().splitlines()[1] == "1,0,1,0,c_ordered"
+    assert elapsed < 0.1
+    _report(12, f"({elapsed:.3f}s)")

@@ -9,19 +9,28 @@ from gfgm import (
     AssociationReport,
     BernoulliPmf,
     ConcordanceResult,
+    ExchangeableCountPmf,
     GfgmCopula,
     InvalidDistributionError,
+    MixtureSpec,
+    beta_mixture_copula,
     cdf,
     check_concordance,
     comonotone_count_pmf,
+    comonotonic,
+    complemented,
     end_count_pmf,
     end_pmf,
+    independent,
     max_measures_gfgm_p,
     measures,
     measures_by_quadrature,
     measures_exchangeable,
     min_measures_exchangeable,
+    mixture_count_pmf,
+    moments_to_pmf,
     pdf,
+    pmf_to_moments,
     rho_c,
     rho_cL,
     rho_cU,
@@ -37,6 +46,7 @@ from conftest import (
     random_sparse_pmf,
 )
 from gfgm.association import gauss_legendre_unit
+from gfgm.bernoulli import IndependenceLaw, _popcount
 from gfgm.copula import _cdf_factors, _grid, _pdf_factors, _survival_factors
 from gfgm.exchangeable import expand
 
@@ -357,31 +367,19 @@ class TestConcordanceChecks:
             )
 
     def test_rejects_large_dimension(self):
+        # d = 7 was over the grid's cap; atoms now compare dense moments, d <= 20
         p = [0.5] * 7
-        with pytest.raises(InvalidDistributionError):
+        res = check_concordance(GfgmCopula.independence(p), GfgmCopula.comonotone(p))
+        assert res.verdict == "c_ordered" and res.cl_forward and not res.cl_backward
+        p = [0.5] * 21
+        with pytest.raises(InvalidDistributionError, match="d <= 20"):
             check_concordance(GfgmCopula.independence(p), GfgmCopula.comonotone(p))
-
-    @pytest.mark.parametrize("g", [0, -1])
-    def test_rejects_empty_grid(self, g):
-        # an empty grid would report dominance both ways, a vacuous c_ordered
-        c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
-        c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
-        with pytest.raises(InvalidDistributionError, match="at least 1"):
-            check_concordance(c1, c2, g)
 
     def test_one_point_grid(self):
         c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
         c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
         res = check_concordance(c1, c2, 1)
         assert res.verdict == "c_ordered" and res.cl_backward and not res.cl_forward
-
-    @pytest.mark.parametrize("g", [2.5, 1.5])
-    def test_rejects_fractional_grid(self, g):
-        # 2.5 used to build arange(1, 3.5) / 3.5, not a uniform interior grid
-        c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
-        c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
-        with pytest.raises(InvalidDistributionError, match="integer"):
-            check_concordance(c1, c2, g)
 
     def test_accepts_numpy_integer_grid(self):
         c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
@@ -460,6 +458,176 @@ class TestConcordanceChecks:
             tracemalloc.stop()
         assert res.verdict == "c_ordered"
         assert peak <= 8_000_000
+
+
+def _perturbed_pair(rng, d):
+    """Two atom laws with one shape vector, near independence.
+
+    The moments of |S| >= 2 of ``independent(p)`` are moved by N(0, 0.03),
+    with p ~ U(0.15, 0.85)^d; a draw that gives a negative mass is drawn
+    again.  In 30% of pairs the second law is the first.
+    """
+    p = rng.uniform(0.15, 0.85, size=d)
+    base = pmf_to_moments(independent(p))
+    moved = _popcount(np.arange(1 << d)) >= 2
+    laws = []
+    while len(laws) < 2:
+        try:
+            laws.append(moments_to_pmf(base + np.where(moved, rng.normal(0, 0.03, base.size), 0.0)))
+        except InvalidDistributionError:
+            pass
+    if rng.uniform() < 0.3:
+        laws[1] = laws[0]
+    return GfgmCopula(laws[0], p), GfgmCopula(laws[1], p)
+
+
+#: (cdf or survival, the atom moments that decide it, the probe's u off S and on S at t)
+_SIDES = (
+    (cdf, pmf_to_moments, 1.0, lambda t: t),
+    (survival, lambda law: pmf_to_moments(complemented(law)), 0.0, lambda t: 1.0 - t),
+)
+
+
+def _probe_gap(side, c1, c2, subset):
+    """Largest excess of c1 over c2 on the boundary probe of S, t = 1e-1 .. 1e-12.
+
+    u_j is fixed off S (1 for the cdf, 0 for the survival function) and
+    moves to the face on S; a violated moment of S shows as a positive gap
+    once t is small enough.
+    """
+    func, _, off, on = _SIDES[side]
+    inside = (subset >> np.arange(c1.d)) & 1 == 1
+    u = np.array([np.where(inside, on(10.0**-e), off) for e in range(1, 13)])
+    return float(np.max(func(c1, u) - func(c2, u)))
+
+
+def _check_against_functions(c1, c2, res, axis):
+    """Each flag of ``res`` against the functions: no violation on a grid with the
+    faces where it holds, a positive probe gap where it does not."""
+    pts = _mesh(axis, c1.d)
+    flags = (res.cl_forward, res.cl_backward, res.cu_forward, res.cu_backward)
+    for k, (a, b) in enumerate([(c1, c2), (c2, c1)] * 2):
+        side = k // 2
+        func, moments = _SIDES[side][:2]
+        if flags[k]:
+            assert np.max(func(a, pts) - func(b, pts)) <= 2e-12, k
+        else:
+            excess = moments(a.bernoulli) - moments(b.bernoulli)
+            violated = np.flatnonzero(excess > 1e-12)
+            # an S of fewest margins: no proper subset of it is violated
+            subset = int(violated[np.argmin(_popcount(violated))])
+            assert _probe_gap(side, a, b, subset) > 0.0, (k, subset)
+
+
+class TestExactOrder:
+    """``check_concordance`` decides the order of the functions on all of [0, 1]^d."""
+
+    AXIS = np.array([0.0, 0.05, 0.3, 0.7, 0.95, 1.0])
+
+    def test_random_pairs_sufficient_and_necessary(self):
+        rng = np.random.default_rng(5151)
+        verdicts = set()
+        for d in [2] * 20 + [3] * 30 + [4] * 6:
+            c1, c2 = _perturbed_pair(rng, d)
+            res = check_concordance(c1, c2)
+            _check_against_functions(c1, c2, res, self.AXIS)
+            verdicts.add(res.verdict)
+        assert verdicts == {"c_ordered", "cL_ordered", "cU_ordered", "incomparable"}
+
+    # seeds of _perturbed_pair at d = 2 + seed % 3 on which the interior grid
+    # (21 points per axis) reported an order that does not hold
+    @pytest.mark.parametrize(
+        "seed,grid_verdict",
+        [(112, "cL_ordered"), (157, "c_ordered"), (253, "cU_ordered"),
+         (137, "cU_ordered"), (197, "cL_ordered")],
+    )
+    def test_false_grid_verdicts(self, seed, grid_verdict):
+        c1, c2 = _perturbed_pair(np.random.default_rng(seed), 2 + seed % 3)
+        res = check_concordance(c1, c2)
+        assert res.verdict == "incomparable" != grid_verdict
+        _check_against_functions(c1, c2, res, self.AXIS)
+
+    def test_violation_below_the_interior_grid(self):
+        # independence with mu_{12} raised by 0.05 and mu_{123} lowered by
+        # 0.001: C2 - C1 = d1 d2 (0.05 a0_3 - 0.001 d3) changes sign at
+        # u_3 ~ 0.04 < 1/22, so the 21-per-axis interior grid saw c_ordered
+        moved = BernoulliPmf.from_bitstrings({
+            "000": 0.176, "100": 0.074, "010": 0.074, "110": 0.176,
+            "001": 0.124, "101": 0.126, "011": 0.126, "111": 0.124,
+        })
+        c1, c2 = GfgmCopula.independence([0.5] * 3), GfgmCopula(moved, [0.5] * 3)
+        interior = _mesh(np.arange(1, 22) / 22.0, 3)
+        assert np.max(cdf(c1, interior) - cdf(c2, interior)) < 0.0
+        res = check_concordance(c1, c2)
+        assert res == ConcordanceResult(False, False, True, False)
+        assert cdf(c1, [0.5, 0.5, 0.0192]) - cdf(c2, [0.5, 0.5, 0.0192]) > 4e-6
+        _check_against_functions(c1, c2, res, self.AXIS)
+
+    @staticmethod
+    def _forms_agree(pairs):
+        """The flags of every pair are those of the first."""
+        results = [check_concordance(GfgmCopula(a), GfgmCopula(b)) for a, b in pairs]
+        assert all(r == results[0] for r in results), results
+        return results[0]
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_count_law_matches_its_expansion(self, d):
+        rng = np.random.default_rng(700 + d)
+        cp = random_exchangeable_count(rng, d)
+        lam = float(rng.uniform(0.2, 0.8))
+        others = [
+            end_count_pmf(cp.p, d),
+            comonotone_count_pmf(cp.p, d),
+            IndependenceLaw([cp.p] * d),
+            cp,
+            ExchangeableCountPmf(d, lam * cp.q + (1.0 - lam) * end_count_pmf(cp.p, d).q),
+        ]
+        verdicts = set()
+        for other in others:
+            res = self._forms_agree(
+                [(cp, other), (expand(cp), other), (cp, other.as_atoms()),
+                 (expand(cp), other.as_atoms())]
+            )
+            verdicts.add(res.verdict)
+        assert "c_ordered" in verdicts
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_independence_law_matches_its_expansion(self, d):
+        rng = np.random.default_rng(800 + d)
+        p = rng.uniform(0.15, 0.85, size=d)
+        law = IndependenceLaw(p)
+        mixed = {m: 0.5 * q for m, q in independent(p).as_dict().items()}
+        for m, q in comonotonic(p).as_dict().items():
+            mixed[m] += 0.5 * q
+        others = [comonotonic(p), BernoulliPmf.from_dict(d, mixed), law, independent(p)]
+        for other in others:
+            self._forms_agree([(law, other), (independent(p), other)])
+        # equal margins take the per-size route against a count law
+        q = float(p[0])
+        binomial = mixture_count_pmf(MixtureSpec.degenerate(q, d), d)
+        for other in (binomial, end_count_pmf(q, d)):
+            self._forms_agree(
+                [(IndependenceLaw([q] * d), other), (independent([q] * d), other),
+                 (IndependenceLaw([q] * d), other.as_atoms())]
+            )
+
+    def test_count_laws_at_d200(self):
+        d = 200
+        end, com = end_count_pmf(0.4, d), comonotone_count_pmf(0.4, d)
+        beta = beta_mixture_copula(2.0, 3.0, d)
+        assert check_concordance(GfgmCopula(end), beta) == ConcordanceResult(True, False, True, False)
+        res = check_concordance(GfgmCopula(com), GfgmCopula(end))
+        assert res == ConcordanceResult(False, True, False, True)
+        # the smallest violated subset size is 2: probe two margins
+        c_end, c_com = GfgmCopula(end), GfgmCopula(com)
+        assert _probe_gap(0, c_com, c_end, 0b11) > 0.0
+        assert _probe_gap(1, c_com, c_end, 0b11) > 0.0
+        # sufficiency on random points with faces mixed in
+        rng = np.random.default_rng(9)
+        pts = np.where(rng.uniform(size=(40, d)) < 0.95, 1.0, rng.uniform(size=(40, d)))
+        pts[:5, :3] = 0.0
+        assert np.all(cdf(c_end, pts) <= cdf(c_com, pts) + 1e-12)
+        assert np.all(survival(c_end, 1.0 - pts) <= survival(c_com, 1.0 - pts) + 1e-12)
 
 
 class TestDimensionLimit:

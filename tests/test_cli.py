@@ -1,11 +1,12 @@
 """Command-line surface: spec files, CSV outputs, exit codes."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gfgm import association, cli
+from gfgm import association, cdf_epd, cli
 from gfgm.cli import main
 
 
@@ -37,6 +38,18 @@ def spec_file(tmp_path):
 
 
 class TestEval:
+    @pytest.mark.parametrize("d", [1029, 1030])
+    def test_count_law_dimension_limit(self, capsys, d):
+        # C(d, k) fits a float up to d = 1029; above it the count law says so
+        u = ",".join(["0.999"] * d)
+        code, out, err = _run(capsys, ["eval", "--d", str(d), "--exchangeable", "comonotone:0.3", "-u", u])
+        if d == 1029:
+            assert code == 0 and out == "0.460609046516\n"
+            assert out == "%.12g\n" % cdf_epd(0.3, d, [0.999] * d)
+        else:
+            assert code == 2 and out == ""
+            assert "d <= 1029" in err and "Traceback" not in err
+
     def test_independence_point(self, capsys):
         code, out, _ = _run(capsys, ["eval", "--p", "0.5,0.5", "-u", "0.3,0.4"])
         assert code == 0
@@ -350,6 +363,45 @@ class TestExtremals:
         assert all(r[0] == "two_point" for r in rows)
 
 
+# SHA-256 of ``extremals --p P --d D`` output, recorded while the command still
+# built every ExchangeableCountPmf before writing
+EXTREMAL_DIGESTS = {
+    (0.37, 3): "92351ad627852aaccbfd5cf112e158834b1e3e355ef2249c8022173e72896c89",
+    (0.5, 3): "b9d1468e51ef9a593447d94795714ff63f7c30bf5da486514cc8e63ff62719d5",
+    (0.37, 10): "ec782263ff5cd48f73b2db75ffd1d9a720782e226c448a7bfc26f53666f92ada",
+    (0.5, 10): "f410ed050e27e1e1cf548df399f57047223164d79869b443dfe06b329ea544c6",
+    (0.37, 101): "c8c0f4136cf0995d48d1e9a30ed56d66045da033c57c5c8f937067bbc31f4d0e",
+    (0.5, 101): "78d47c13c260a1da6fc86ea21ae97ec54ab167dc737565a9d622582ec51377cf",
+}
+
+
+class TestExtremalRows:
+    @pytest.mark.parametrize("p,d", sorted(EXTREMAL_DIGESTS))
+    def test_output_digest(self, tmp_path, p, d):
+        out = tmp_path / "e.csv"
+        assert main(["extremals", "--p", str(p), "--d", str(d), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EXTREMAL_DIGESTS[p, d]
+
+    def test_memory_at_d600(self, tmp_path):
+        # all O(d^2) laws at once held about 430 MB at d = 600; rows need O(d)
+        out = tmp_path / "e.csv"
+        tracemalloc.start()
+        try:
+            assert main(["extremals", "--p", "0.4", "--d", "600", "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == 2 + 240 * 360 + 1  # pd = 240: j1 < 240 < j2, and degenerate
+
+    def test_invalid_arguments_write_nothing(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["extremals", "--p", "1.5", "--d", "4", "--out", str(out)]) == 2
+        assert main(["extremals", "--p", "0.5", "--d", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestOrderCheck:
     def test_independence_vs_comonotone(self, tmp_path, spec_file):
         s1 = spec_file("ind.spec", "d=3\np=0.4,0.4,0.4\n")
@@ -360,14 +412,16 @@ class TestOrderCheck:
         assert rows[1][4] == "c_ordered"
         assert rows[1][0] == "1" and rows[1][1] == "0"
 
-    @pytest.mark.parametrize("grid", ["0", "-1"])
-    def test_rejects_empty_grid(self, capsys, spec_file, grid):
+    def test_grid_option_is_gone(self, capsys, spec_file):
+        # the order is decided exactly from moments; no grid is left to size
         s1 = spec_file("a.spec", "d=2\np=0.4,0.6\ntheta=0.6\n")
         s2 = spec_file("b.spec", "d=2\np=0.4,0.6\ntheta=-0.9\n")
-        code, out, err = _run(capsys, ["order-check", "--spec1", s1, "--spec2", s2, f"--grid={grid}"])
-        assert code == 2
-        assert out == ""
-        assert "at least 1" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["order-check", "--spec1", s1, "--spec2", s2, "--grid", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid" in captured.err
 
     def test_mismatched_p_exit_code(self, capsys, spec_file):
         s1 = spec_file("a.spec", "d=2\np=0.4,0.4\n")

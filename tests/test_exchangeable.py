@@ -269,6 +269,23 @@ class TestMixtures:
         )
 
 
+    @pytest.mark.parametrize("alpha,beta,d", [(2.0, 3.0, 22), (5.0, 1.5, 19), (1.0, 1.0, 20)])
+    def test_cancellation_is_named(self, alpha, beta, d):
+        # the moment route's alternating sum cancels; the error says so and
+        # names the two routes that avoid it
+        with pytest.raises(InvalidDistributionError) as exc:
+            mixture_count_pmf(MixtureSpec.beta(alpha, beta, d), d)
+        text = str(exc.value)
+        assert "count masses sum to" in text and f"cancelled at d={d}" in text
+        assert "quadrature MixtureSpec" in text and "beta:alpha,beta" in text
+        assert "beta_mixture_copula" in text
+
+    def test_last_clean_moment_route_keeps_its_bytes(self):
+        q = mixture_count_pmf(MixtureSpec.beta(2.0, 3.0, 21), 21).q
+        assert hashlib.sha256(q.tobytes()).hexdigest() == (
+            "37bdfb4a7aba29ac08096fcb9306237398b5044015d5f33e9a33ba5d318b3f8f"
+        )
+
 class TestBetaMixture:
     def test_pairwise_coefficient_uniform_mixing(self):
         c = beta_mixture_copula(1.0, 1.0, 2)

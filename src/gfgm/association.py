@@ -22,12 +22,13 @@ piece against the conditional density piece (G(0,0) = G(1,1) = 1/2,
 G(1,0) = (3-p)/(2(2-p)), G(0,1) = (1-p)/(2(2-p))).
 
 A tensor-product Gauss-Legendre quadrature of the defining integrals is
-provided as an independent oracle for d = 2; it evaluates the cdf and the
-density on its tensor grid as one rank-n_atoms matrix product
-(``copula._grid``).  Concordance ordering between two copulas sharing a
-shape vector is decided exactly, on all of [0, 1]^d, by comparing the
-moments mu_S = E[prod_{j in S} I_j] and lambda_S = E[prod_{j in S} (1 - I_j)]
-of their Bernoulli laws (see :func:`check_concordance`).
+provided as an independent oracle for d = 2; it reads the law's 2x2 table
+T = Pr(I_1 = i, I_2 = j) from one contraction and evaluates the cdf and the
+density on its tensor grid as F_1 @ T @ F_2^T.  Concordance ordering
+between two copulas sharing a shape vector is decided exactly, on all of
+[0, 1]^d, by comparing the moments mu_S = E[prod_{j in S} I_j] and
+lambda_S = E[prod_{j in S} (1 - I_j)] of their Bernoulli laws (see
+:func:`check_concordance`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .bernoulli import (
     complemented,
     pmf_to_moments,
 )
-from .copula import GfgmCopula, _cdf_factors, _grid, _pdf_factors
+from .copula import GfgmCopula, _cdf_factors, _pdf_factors
 
 __all__ = [
     "AssociationReport",
@@ -242,10 +243,10 @@ def measures_by_quadrature(c: GfgmCopula, nodes: int = 96, grading: int = 3) -> 
     """Direct numeric evaluation of the defining integrals (d = 2 only).
 
     Tensor-product Gauss-Legendre with at least 64 nodes per axis; serves as
-    the independent oracle for the closed forms.  The cdf and the density
-    on the nodes^2 grid are each one rank-n_atoms matrix product
-    (``copula._grid``), with the factor pairs computed on the 2 * nodes axis
-    values only.
+    the independent oracle for the closed forms.  One contraction through
+    the law gives its 2x2 table T[i, j] = Pr(I_1 = i, I_2 = j); the cdf and
+    the density on the nodes^2 grid are then each F_1 @ T @ F_2^T, with
+    F_m the (nodes, 2) factor pairs of margin m on the axis values.
     """
     if c.d != 2:
         raise InvalidDistributionError("quadrature oracle is bivariate only")
@@ -253,8 +254,15 @@ def measures_by_quadrature(c: GfgmCopula, nodes: int = 96, grading: int = 3) -> 
         raise ValueError("use at least 64 nodes per axis")
     x, w = gauss_legendre_unit(nodes, grading)
     weights = np.outer(w, w).ravel()
-    cvals = np.dot(*_grid(c, x, _cdf_factors)).ravel()
-    dens = np.dot(*_grid(c, x, _pdf_factors)).ravel()
+    # factor rows of the indicators of (i_1, i_2) = 00, 01, 10, 11
+    cells = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    table = c.law.expect_products(cells, 1.0 - cells).reshape(2, 2)
+
+    def grid(factors):  # F_1 @ T @ F_2^T, first margin slowest
+        f = np.stack(factors(c, np.repeat(x[:, None], 2, axis=1)), axis=2)  # (node, margin, side)
+        return (f[:, 0] @ table @ f[:, 1].T).ravel()
+
+    cvals, dens = grid(_cdf_factors), grid(_pdf_factors)
     int_c_dperp = float(weights @ cvals)
     int_perp_dc = float(weights @ (np.outer(x, x).ravel() * dens))
     int_c_dc = float(weights @ (cvals * dens))
@@ -354,9 +362,14 @@ def check_concordance(
     moment bounds the excess of C1 over C2 by eps * prod_j a1_j <= eps, and
     likewise on the survival side; the slack is ``_MOMENT_SLACK``.
 
-    Count laws and independence laws with equal margins compare per subset
-    size, O(d^2) at any d; any other pair compares dense moments over the
-    2^d subsets, which needs d <= 20.  ``grid_points_per_axis`` is accepted
+    Two product laws (``IndependenceLaw``) are ordered exactly when their
+    margins are: mu_S = prod_{j in S} p_j, singletons make the condition
+    necessary, and products of ordered nonnegative factors make it
+    sufficient; lambda_S works the same way with 1 - p.  Such a pair
+    compares the rows (p, 1 - p), O(d) at any d.  Count laws and
+    independence laws with equal margins compare per subset size, O(d^2)
+    at any d; any other pair compares dense moments over the 2^d subsets,
+    which needs d <= 20.  ``grid_points_per_axis`` is accepted
     and ignored: no grid is built, but perfbench still passes the argument
     (and its counters read it), so it goes with the next change to
     perfbench.  Copulas with different shape vectors are not
@@ -368,9 +381,12 @@ def check_concordance(
         raise InvalidDistributionError(
             "copulas with different shape vectors are not dependence-comparable"
         )
-    dense = any(isinstance(c.law, BernoulliPmf) or np.ptp(c.law.margins) > 0 for c in (c1, c2))
-    if dense:
-        _check_dense_dim(c1.d)
-    m1, m2 = (_law_moments(c.law, dense) for c in (c1, c2))
+    if all(isinstance(c.law, IndependenceLaw) for c in (c1, c2)):
+        m1, m2 = (np.stack([c.law.p, 1.0 - c.law.p]) for c in (c1, c2))
+    else:
+        dense = any(isinstance(c.law, BernoulliPmf) or np.ptp(c.law.margins) > 0 for c in (c1, c2))
+        if dense:
+            _check_dense_dim(c1.d)
+        m1, m2 = (_law_moments(c.law, dense) for c in (c1, c2))
     forward, backward = (np.all(a <= b + _MOMENT_SLACK, axis=1) for a, b in ((m1, m2), (m2, m1)))
     return ConcordanceResult(*map(bool, (forward[0], backward[0], forward[1], backward[1])))

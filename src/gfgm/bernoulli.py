@@ -13,9 +13,11 @@ Probability mass functions are stored sparsely as (mask, probability) atoms;
 the dimension is capped at 63 so that masks fit in a machine integer.
 
 A copula evaluates through a *law* of I.  Each law supplies ``d``; its
-``margins``; ``_expect_chunks``, the point-chunked contraction
-E[prod_j f(i, j, I_j)] (``expect_products`` over whole tables); its
-density-side ``outcomes``, rows r with masses w such that, for I' an
+``margins``; ``_chunk``, the points per chunk, and ``_contract``, the
+contraction E[prod_j f(i, j, I_j)] of one chunk of factor tables, from
+which the shared ``_Law._expect_chunks`` (points taken a chunk at a time)
+and ``expect_products`` (over whole tables) are made; its density-side
+``outcomes``, rows r with masses w such that, for I' an
 independent copy of I and per-margin kernels h_m (one kernel for all
 margins when the law is exchangeable),
 
@@ -110,7 +112,10 @@ def _subset_products(f: np.ndarray) -> np.ndarray:
 
 
 class _Law:
-    """``expect_products`` of a law, from its point-chunked ``_expect_chunks``."""
+    """A law of I: ``_chunk`` points per chunk and ``_contract`` of one chunk.
+
+    The chunk loop and ``expect_products`` are shared by every law.
+    """
 
     def expect_products(self, f0, f1) -> np.ndarray:
         """E[prod_j f(i, j, I_j)] per point i, for (n, d) factor tables.
@@ -120,13 +125,19 @@ class _Law:
         f0, f1 = np.asarray(f0, dtype=float), np.asarray(f1, dtype=float)
         return self._expect_chunks(f0.shape[0], lambda s, e: (f0[s:e], f1[s:e]))
 
+    def _expect_chunks(self, n: int, factor_pairs) -> np.ndarray:
+        """``expect_products`` over n points, taken ``_chunk`` at a time.
 
-def _over_chunks(n: int, step: int, factor_pairs, contract) -> np.ndarray:
-    """``contract(f0, f1)`` of the factor pairs of points s .. s+step-1, for each s."""
-    out = np.empty(n)
-    for s in range(0, n, step):
-        out[s : s + step] = contract(*factor_pairs(s, min(n, s + step)))
-    return out
+        ``factor_pairs(s, e)`` returns the (e - s, d) tables f0, f1 of points
+        s .. e-1, so callers can compute factors one chunk at a time.  One
+        call over all points keeps each chunk's buffers until the next chunk
+        replaces them; a call per chunk would free and re-fault them each time.
+        """
+        step = self._chunk
+        out = np.empty(n)
+        for s in range(0, n, step):
+            out[s : s + step] = self._contract(*factor_pairs(s, min(n, s + step)))
+        return out
 
 
 def _check_atom_form(d: int):
@@ -264,13 +275,11 @@ class BernoulliPmf(_Law):
         chunk = max(1, CHUNK_ELEMENTS // (2 * (span + (n_blocks << BLOCK_BITS))))
         return _Plan(low, rows, weights, span, chunk)
 
-    def _expect_chunks(self, n: int, factor_pairs) -> np.ndarray:
-        """``expect_products`` over n points, taken ``chunk`` at a time.
+    _chunk = property(lambda self: self._block_rows.chunk)
 
-        ``factor_pairs(s, e)`` returns the (e - s, d) tables f0, f1 of points
-        s .. e-1, so callers can compute factors one chunk at a time.  One
-        call over all points keeps each chunk's buffers until the next chunk
-        replaces them; a call per chunk would free and re-fault them each time.
+    def _contract(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+        """Sum over the atoms of their products, for one chunk of points.
+
         Plain products, no logarithms, so zero factors and tiny values behave
         as in a direct per-atom sum.  Per point, the per-atom schedule costs
         n_atoms * n_blocks multiplications and the grouped one
@@ -278,26 +287,23 @@ class BernoulliPmf(_Law):
         (groups, 16) x (16, chunk) matrix product; the plan takes the grouped
         schedule when that count is the smaller.
         """
-        low, rows, weights, span, chunk = self._block_rows
-        n_blocks = -(-self.d // BLOCK_BITS)
-        out = np.zeros(n)
-        for s in range(0, n, chunk):
-            m = min(chunk, n - s)
-            f0, f1 = factor_pairs(s, s + m)
-            # (block, bit, side, point), padded with unit factors
-            factors = np.ones((n_blocks, BLOCK_BITS, 2, m))
-            pairs = factors.reshape(-1, 2, m)[: self.d]
-            pairs[:, 0], pairs[:, 1] = f0.T, f1.T
-            table = _subset_products(factors).reshape(-1, m)
-            for a in range(0, weights.size, span):
-                unit_rows = rows[:, a : a + span]
-                if low is None:
-                    acc, unit_rows = table.take(unit_rows[0], axis=0), unit_rows[1:]
-                else:
-                    acc = low[a : a + span] @ table[:_BLOCK_SIZE]
-                for block_rows in unit_rows:
-                    acc *= table.take(block_rows, axis=0)
-                out[s : s + m] += weights[a : a + span] @ acc
+        low, rows, weights, span, _ = self._block_rows
+        m = f0.shape[0]
+        # (block, bit, side, point), padded with unit factors
+        factors = np.ones((-(-self.d // BLOCK_BITS), BLOCK_BITS, 2, m))
+        pairs = factors.reshape(-1, 2, m)[: self.d]
+        pairs[:, 0], pairs[:, 1] = f0.T, f1.T
+        table = _subset_products(factors).reshape(-1, m)
+        out = np.zeros(m)
+        for a in range(0, weights.size, span):
+            unit_rows = rows[:, a : a + span]
+            if low is None:
+                acc, unit_rows = table.take(unit_rows[0], axis=0), unit_rows[1:]
+            else:
+                acc = low[a : a + span] @ table[:_BLOCK_SIZE]
+            for block_rows in unit_rows:
+                acc *= table.take(block_rows, axis=0)
+            out += weights[a : a + span] @ acc
         return out
 
     def expectation_of_products(self, g0, g1) -> float:
@@ -334,12 +340,12 @@ class IndependenceLaw(_Law):
     margins = property(lambda self: self.p)
     outcomes = property(lambda self: (self.p[None, :], np.ones(1)))
 
-    def _expect_chunks(self, n: int, factor_pairs) -> np.ndarray:
-        # the factor tables and their temporaries, about 16 (chunk, d) arrays,
-        # stay within CHUNK_ELEMENTS
-        p = self.p
-        combine = lambda f0, f1: np.prod((1.0 - p) * f0 + p * f1, axis=1)
-        return _over_chunks(n, max(1, CHUNK_ELEMENTS // (16 * self.d)), factor_pairs, combine)
+    # the factor tables and their temporaries, about 16 (chunk, d) arrays,
+    # stay within CHUNK_ELEMENTS
+    _chunk = property(lambda self: max(1, CHUNK_ELEMENTS // (16 * self.d)))
+
+    def _contract(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+        return np.prod((1.0 - self.p) * f0 + self.p * f1, axis=1)
 
     def as_atoms(self) -> BernoulliPmf:
         _check_atom_form(self.d)
@@ -539,14 +545,18 @@ def parse_pmf_text(text: str) -> BernoulliPmf:
         if not line or line.startswith("#"):
             continue
         if line.startswith("d="):
+            if d is not None:
+                raise InvalidDistributionError("duplicate 'd=<dim>' header line")
             d = int(line[2:])
             continue
+        if d is None:
+            raise InvalidDistributionError("missing 'd=<dim>' header line before the atoms")
         try:
             bit_s, prob_s = line.split(",")
         except ValueError as exc:
             raise InvalidDistributionError(f"malformed pmf line: {line!r}") from exc
         mask = bitstring_to_mask(bit_s.strip())
-        if d is not None and len(bit_s.strip()) != d:
+        if len(bit_s.strip()) != d:
             raise InvalidDistributionError(
                 f"bit string {bit_s!r} does not match header d={d}"
             )

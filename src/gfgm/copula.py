@@ -137,7 +137,8 @@ class GfgmCopula:
         """The law as atoms, which sampling and the exponential oracles read.
 
         An atom law is its own; count and independence laws are expanded on
-        first use, which needs d <= 20.
+        first use, which needs d <= 20.  Evaluation, the measures and the
+        d = 2 quadrature oracle contract the law itself.
         """
         return self.law.as_atoms()
 
@@ -181,34 +182,6 @@ def _expect(c: GfgmCopula, u, factors):
     pts, single = _as_points(u, c.d)
     out = c.law._expect_chunks(pts.shape[0], lambda s, e: factors(c, pts[s:e]))
     return float(out[0]) if single else out
-
-
-def _grid(c: GfgmCopula, axis, factors) -> tuple[np.ndarray, np.ndarray]:
-    """``_expect`` on the tensor grid axis^d, as a rank-n_atoms product.
-
-    On the atom form the value at grid point x = (x_1, ..., x_d) is
-    sum_a pi_a * prod_{m <= h} f_m(x_m, a_m) * prod_{m > h} f_m(x_m, a_m),
-    with h = d // 2.  Returns ``left`` (g^h, n_atoms), the first products
-    weighted by pi, and ``right`` (n_atoms, g^(d-h)), the second ones:
-    ``(left @ right).ravel()`` holds the values at the points of
-    ``meshgrid(*[axis] * d, indexing="ij")`` in that order.  The factor
-    pairs are computed on the g * d axis values only; the whole grid costs
-    n_atoms * g^d multiply-adds in one matrix product.
-    """
-    atoms = c.bernoulli
-    axis = np.asarray(axis, dtype=float)
-    f0, f1 = factors(c, np.repeat(axis[:, None], c.d, axis=1))
-    # (n_atoms, d, g): factor of margin m at each axis value, given atom a
-    f = np.where(atoms.bits[:, :, None] > 0, f1.T, f0.T)
-
-    def outer(block):  # (n_atoms, k, g) -> (n_atoms, g^k), first margin slowest
-        out = block[:, 0]
-        for j in range(1, block.shape[1]):
-            out = (out[:, :, None] * block[:, j, None, :]).reshape(atoms.n_atoms, -1)
-        return out
-
-    h = c.d // 2
-    return (atoms.probs[:, None] * outer(f[:, :h])).T, outer(f[:, h:])
 
 
 def _cdf_factors(c: GfgmCopula, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,6 @@ from .bernoulli import (
     _check_atom_form,
     _check_dense_dim,
     _Law,
-    _over_chunks,
     _popcount,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
@@ -88,7 +87,7 @@ class ExchangeableCountPmf(_Law):
 
     @property
     def p(self) -> float:
-        return float(np.arange(self.d + 1) @ self.q) / self.d
+        return self.mean / self.d
 
     @property
     def mean(self) -> float:
@@ -118,17 +117,14 @@ class ExchangeableCountPmf(_Law):
         _check_atom_form(self.d)
         return expand(self)
 
-    def _expect_chunks(self, n: int, factor_pairs) -> np.ndarray:
+    _chunk = property(lambda self: max(1, CHUNK_ELEMENTS // (4 * (self.d + 1))))
+
+    def _contract(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
         """Weight class k weighs its sum of products by q_k / C(d, k), O(n d^2)."""
-
-        def contract(f0, f1):
-            # exact power-of-two scaling to |f0| + |f1| in [1, 2): sums stay finite to d ~ 1000
-            shift = np.frexp(np.abs(f0) + np.abs(f1))[1] - 1
-            sums = _weight_class_sums(np.ldexp(f0, -shift), np.ldexp(f1, -shift))
-            return np.ldexp(sums @ self._outcome_mass, shift.sum(axis=1))
-
-        step = max(1, CHUNK_ELEMENTS // (4 * (self.d + 1)))
-        return _over_chunks(n, step, factor_pairs, contract)
+        # exact power-of-two scaling to |f0| + |f1| in [1, 2): sums stay finite to d ~ 1000
+        shift = np.frexp(np.abs(f0) + np.abs(f1))[1] - 1
+        sums = _weight_class_sums(np.ldexp(f0, -shift), np.ldexp(f1, -shift))
+        return np.ldexp(sums @ self._outcome_mass, shift.sum(axis=1))
 
 
 def _weight_class_sums(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
@@ -305,10 +301,6 @@ class MixtureSpec:
     @classmethod
     def beta(cls, alpha: float, beta: float, order: int) -> "MixtureSpec":
         return cls.from_moments(beta_moments(alpha, beta, order))
-
-    @property
-    def max_order(self) -> int:
-        return self.moments.size - 1 if self.moments is not None else np.iinfo(np.int64).max
 
     def moment(self, k: int) -> float:
         if self.moments is not None:

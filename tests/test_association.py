@@ -43,11 +43,9 @@ from conftest import (
     random_copula,
     random_dense_pmf,
     random_exchangeable_count,
-    random_sparse_pmf,
 )
 from gfgm.association import gauss_legendre_unit
 from gfgm.bernoulli import IndependenceLaw, _popcount
-from gfgm.copula import _cdf_factors, _grid, _pdf_factors, _survival_factors
 from gfgm.exchangeable import expand
 
 
@@ -198,51 +196,6 @@ class TestQuadratureOracle:
             gauss_legendre_unit(96, grading)
         with pytest.raises(ValueError, match="grading must be positive"):
             measures_by_quadrature(GfgmCopula.bivariate(0.4, 0.6, 0.5), 96, grading)
-
-
-def _grid_laws(rng, d):
-    """Atom pmfs (random sparse, comonotone, END), a count law and an independence law."""
-    p = rng.uniform(0.1, 0.9, size=d)
-    q = float(rng.uniform(0.1, 0.9))
-    return {
-        "sparse": GfgmCopula(random_sparse_pmf(rng, d)),
-        "comonotone": GfgmCopula.comonotone(p),
-        "end": GfgmCopula(end_pmf(q, d)),
-        "count": GfgmCopula(random_exchangeable_count(rng, d)),
-        "independence": GfgmCopula.independence(p),
-    }
-
-
-class TestGridEvaluator:
-    """``copula._grid``: the rank-n_atoms grid product against the point route."""
-
-    FACTORS = {"cdf": (_cdf_factors, cdf), "survival": (_survival_factors, survival),
-               "pdf": (_pdf_factors, pdf)}
-
-    @pytest.mark.parametrize("side", sorted(FACTORS))
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_matches_points_in_meshgrid_order(self, side, d):
-        rng = np.random.default_rng(100 + d)
-        factors, route = self.FACTORS[side]
-        g = {2: 9, 3: 7, 4: 6, 5: 5, 6: 4}[d]
-        # unsorted axis with both boundary values: order and edges both count
-        axis = np.r_[0.0, rng.uniform(size=g - 2), 1.0][rng.permutation(g)]
-        pts = _mesh(axis, d)
-        for name, c in _grid_laws(rng, d).items():
-            left, right = _grid(c, axis, factors)
-            assert left.shape == (g ** (d // 2), c.bernoulli.n_atoms)
-            assert right.shape == (c.bernoulli.n_atoms, g ** (d - d // 2))
-            np.testing.assert_allclose(
-                (left @ right).ravel(), route(c, pts), rtol=1e-12, atol=1e-15, err_msg=name
-            )
-
-    def test_row_blocks_are_point_blocks(self, rng):
-        c = GfgmCopula(random_sparse_pmf(rng, 5))
-        axis = rng.uniform(size=6)
-        left, right = _grid(c, axis, _cdf_factors)
-        full = (left @ right).ravel()
-        block = 6**3
-        np.testing.assert_array_equal((left[7:11] @ right).ravel(), full[7 * block : 11 * block])
 
 
 class TestExchangeableMeasures:
@@ -610,6 +563,22 @@ class TestExactOrder:
                 [(IndependenceLaw([q] * d), other), (independent([q] * d), other),
                  (IndependenceLaw([q] * d), other.as_atoms())]
             )
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_independence_pair_matches_dense_route(self, d):
+        # margins equal or at least 1e-11 apart, within the 1e-10 shape tolerance
+        rng = np.random.default_rng(900 + d)
+        p = rng.uniform(0.15, 0.85, size=d)
+        mixed = [rng.permutation(np.r_[-1, 1, rng.choice([-1, 0, 1], d - 2)]) for _ in range(6)]
+        verdicts = []
+        for signs in [np.zeros(d), np.ones(d), -np.ones(d), rng.choice([0, 1], d)] + mixed:
+            p2 = p + signs * rng.uniform(1e-11, 5e-11, size=d)
+            res = check_concordance(GfgmCopula.independence(p), GfgmCopula.independence(p2))
+            assert res == check_concordance(GfgmCopula(independent(p)), GfgmCopula(independent(p2)))
+            verdicts.append(res.verdict)
+        # higher margins raise mu and lower lambda: cdfs ordered one way, survivals the other
+        assert verdicts[:3] == ["c_ordered", "cL_ordered", "cL_ordered"]
+        assert verdicts[4:] == ["incomparable"] * 6
 
     def test_count_laws_at_d200(self):
         d = 200

@@ -262,10 +262,16 @@ class TestTextFormat:
     def test_missing_header(self):
         with pytest.raises(InvalidDistributionError):
             parse_pmf_text("00,0.5\n11,0.5\n")
+        # a header after the atoms came too late to check their width: "0" was read as "00"
+        with pytest.raises(InvalidDistributionError, match="before the atoms"):
+            parse_pmf_text("11,0.5\n0,0.5\nd=2\n")
 
     def test_mismatched_width(self):
         with pytest.raises(InvalidDistributionError):
             parse_pmf_text("d=3\n00,0.5\n11,0.5\n")
+        # a second header used to replace the first one silently
+        with pytest.raises(InvalidDistributionError, match="duplicate"):
+            parse_pmf_text("d=3\nd=2\n00,0.5\n11,0.5\n")
 
     def test_bitstring_round_trip(self):
         assert mask_to_bitstring(bitstring_to_mask("0110"), 4) == "0110"

@@ -302,6 +302,18 @@ class TestSample:
         assert data.shape == (10, 3)
         assert data.min() > 0 and data.max() < 1
 
+    @pytest.mark.parametrize(
+        "text", ["11,0.5\n0,0.5\nd=2\n", "d=3\nd=2\n00,0.5\n11,0.5\n"],
+        ids=["late-header", "repeated-header"],
+    )
+    def test_pmf_file_header_out_of_place(self, capsys, tmp_path, text):
+        pmf = tmp_path / "pmf.txt"
+        pmf.write_text(text)
+        code, out, err = _run(capsys, ["sample", "--pmf-file", str(pmf), "--n", "3", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "header" in err and "Traceback" not in err
+
     def test_count_law_above_the_atom_range(self, capsys):
         argv = ["sample", "--d", "25", "--exchangeable", "end:0.4", "--n", "5", "--seed", "1"]
         code, out, err = _run(capsys, argv)
@@ -422,6 +434,15 @@ class TestOrderCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--grid" in captured.err
+
+    @pytest.mark.parametrize("d", [21, 200])
+    def test_independence_pair_beyond_the_dense_range(self, capsys, spec_file, d):
+        # unequal margins: compared by margins, not by 2^d subset moments
+        text = f"p={','.join(map(str, np.linspace(0.2, 0.8, d)))}\n"
+        s1, s2 = spec_file("a.spec", text), spec_file("b.spec", text)
+        code, out, _ = _run(capsys, ["order-check", "--spec1", s1, "--spec2", s2])
+        assert code == 0
+        assert out.splitlines()[1] == "1,1,1,1,c_ordered"
 
     def test_mismatched_p_exit_code(self, capsys, spec_file):
         s1 = spec_file("a.spec", "d=2\np=0.4,0.4\n")

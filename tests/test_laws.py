@@ -25,12 +25,14 @@ from gfgm import (
     expand,
     independent,
     measures,
+    measures_by_quadrature,
     mixture_copula_cdf,
     mixture_count_pmf,
     pdf,
     sample,
     survival,
 )
+from gfgm.bernoulli import BernoulliPmf, IndependenceLaw, _Law
 
 MEASURES = ("rho_cL", "rho_cU", "rho_c", "tau")
 
@@ -143,3 +145,35 @@ def test_specs_evaluate_without_expanding(monkeypatch):
         assert np.isfinite(measures(c).tau)
         with pytest.raises(AssertionError, match="expanded"):
             c.bernoulli
+    # the d = 2 quadrature oracle reads the law's 2x2 table, not its atoms
+    for c in (build_copula(exchangeable="counts:0.3,0.25,0.45"), build_copula(p=[0.3, 0.8])):
+        assert measures_by_quadrature(c).tau == pytest.approx(measures(c).tau, abs=1e-6)
+
+
+LAWS = {
+    "atoms": lambda rng: gfgm.bernoulli.comonotonic(rng.uniform(0.2, 0.8, size=40)),
+    "count": lambda rng: ExchangeableCountPmf(300, rng.dirichlet(np.ones(301))),
+    "independence": lambda rng: IndependenceLaw(rng.uniform(0.2, 0.8, size=300)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_chunk_seams_keep_their_bits(name):
+    # the shared chunk loop: one call equals its per-chunk calls concatenated
+    rng = np.random.default_rng(sum(map(ord, name)))
+    law = LAWS[name](rng)
+    n = 2 * law._chunk + 1
+    f0, f1 = rng.uniform(0.5, 1.5, size=(2, n, law.d))
+    pieces = [law.expect_products(f0[s : s + law._chunk], f1[s : s + law._chunk])
+              for s in range(0, n, law._chunk)]
+    assert len(pieces) == 3
+    assert law.expect_products(f0, f1).tobytes() == np.concatenate(pieces).tobytes()
+
+
+@pytest.mark.parametrize("law", [BernoulliPmf, IndependenceLaw, ExchangeableCountPmf])
+def test_laws_share_one_chunk_loop(law):
+    # a law supplies its chunk size and one chunk's contraction; the loop is _Law's
+    for name in ("_chunk", "_contract", "margins", "outcomes", "as_atoms"):
+        assert name in vars(law), name
+    for name in ("_expect_chunks", "expect_products"):
+        assert name not in vars(law) and getattr(law, name) is getattr(_Law, name), name

@@ -414,7 +414,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("closed_form", "quadrature", "monte_carlo"),
         default="closed_form",
     )
-    p_meas.add_argument("--nodes", type=int, default=96, help="quadrature nodes per axis")
+    p_meas.add_argument(
+        "--nodes", type=int, default=96,
+        help=f"quadrature nodes per axis, 64 to {association._MAX_NODES}",
+    )
     p_meas.add_argument("--n", type=int, default=100000, help="Monte Carlo sample size")
     p_meas.add_argument("--seed", type=int, default=0)
     p_meas.add_argument("--verify", action="store_true", help="closed form vs quadrature")

@@ -44,7 +44,7 @@ from conftest import (
     random_dense_pmf,
     random_exchangeable_count,
 )
-from gfgm.association import gauss_legendre_unit
+from gfgm.association import _MAX_NODES, gauss_legendre_unit
 from gfgm.bernoulli import IndependenceLaw, _popcount
 from gfgm.exchangeable import expand
 
@@ -189,13 +189,78 @@ class TestQuadratureOracle:
             got = measures_by_quadrature(c)
             assert (got.rho_cL, got.rho_cU, got.tau) == pytest.approx(want, rel=0, abs=1e-13)
 
-    @pytest.mark.parametrize("grading", [0, -1, np.nan])
+    @pytest.mark.parametrize("grading", [0, -1, np.nan, np.inf, 1e6])
     def test_rejects_nonpositive_grading(self, grading):
-        # grading=0 puts every node at 1 and returned rho_cL = -3, tau = -1
+        # grading=0 puts every node at 1 and returned rho_cL = -3, tau = -1;
+        # inf gave NaN measures, and 1e6 the same garbage as 0
         with pytest.raises(ValueError, match="grading must be positive"):
             gauss_legendre_unit(96, grading)
         with pytest.raises(ValueError, match="grading must be positive"):
             measures_by_quadrature(GfgmCopula.bivariate(0.4, 0.6, 0.5), 96, grading)
+
+    def test_rejects_grading_too_strong_for_the_nodes(self):
+        # one node at grading 3 integrates the constant 1 to 0.75
+        with pytest.raises(ValueError, match=r"graded weights sum to 0\.7(5|49)"):
+            gauss_legendre_unit(1, 3)
+
+    @pytest.mark.parametrize("nodes", [0, -1, 2.5, 96.5, np.nan, np.inf, _MAX_NODES + 1, 10**5, 10**12])
+    def test_rejects_bad_node_counts_before_allocating(self, nodes):
+        c = GfgmCopula.bivariate(0.4, 0.6, 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="nodes per axis must be an integer from 1 to 2048"):
+                gauss_legendre_unit(nodes)
+            if nodes >= 64:
+                with pytest.raises(ValueError, match="nodes per axis must be an integer from 1 to 2048"):
+                    measures_by_quadrature(c, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_largest_node_count(self):
+        c = GfgmCopula.bivariate(0.4, 0.6, 0.5)
+        got, want = measures_by_quadrature(c, _MAX_NODES), measures(c)
+        assert (got.rho_cL, got.rho_cU, got.tau) == pytest.approx(
+            (want.rho_cL, want.rho_cU, want.tau), rel=0, abs=1e-12
+        )
+
+
+class TestGaussLegendreRule:
+    """The Newton rule behind the quadrature oracle, against scipy and exact moments."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 96, 128, 400, _MAX_NODES])
+    def test_matches_scipy(self, n):
+        from scipy.special import roots_legendre
+
+        x, w = roots_legendre(n)
+        t, wt = gauss_legendre_unit(n, 1)
+        assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 1e-15
+        # scipy's endpoint weights are the less accurate ones at large n
+        np.testing.assert_allclose(wt, 0.5 * w, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize(
+        "n, grading",
+        # a 1-node rule at grading 3 is rejected (test_rejects_grading_too_strong_for_the_nodes)
+        [(n, g) for n in (1, 2, 64, 96, 128, 400, _MAX_NODES) for g in (1, 3) if (n, g) != (1, 3)],
+    )
+    def test_integrates_monomials_exactly(self, n, grading):
+        # the graded rule integrates u^k as g t^(g (k + 1) - 1) over t, a
+        # polynomial of degree < 2n exactly when g (k + 1) <= 2n
+        u, w = gauss_legendre_unit(n, grading)
+        k = np.arange(min(2 * n // grading, 60))
+        got = np.power.outer(u, k).T @ w
+        np.testing.assert_allclose(got, 1.0 / (k + 1), rtol=0, atol=1e-13)
+
+    def test_cached_read_only(self):
+        x, w = gauss_legendre_unit(96)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.5
+        again = gauss_legendre_unit(96.0, 3.0)
+        assert again[0] is x and again[1] is w
+        plain = gauss_legendre_unit(96, 1)
+        assert not np.array_equal(plain[0], x)
 
 
 class TestExchangeableMeasures:

@@ -265,6 +265,14 @@ class TestMeasures:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("nodes", ["2049", "100000"])
+    def test_node_cap_exit_code(self, capsys, nodes):
+        argv = ["measures", "--p", "0.4,0.6", "--theta", "0.5", "--method", "quadrature", "--nodes", nodes]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: quadrature nodes per axis must be an integer from 1 to 2048\n"
+
     def test_monte_carlo_method(self, tmp_path):
         out = tmp_path / "mc.csv"
         code = main(

@@ -24,22 +24,7 @@ from .bernoulli import (
     theta_bounds,
     theta_of,
 )
-from .copula import (
-    BivariateGfgm,
-    Coxian2Params,
-    GfgmCopula,
-    cdf,
-    cdf_epd,
-    cdf_natural,
-    coxian2_lst,
-    fgm_natural_cdf,
-    fgm_thetas,
-    huang_kotz_cdf,
-    marginal_cdf_representation,
-    pdf,
-    survival,
-    survival_by_cdf,
-)
+from .copula import GfgmCopula, cdf, cdf_natural, pdf, survival, survival_by_cdf
 from .association import (
     AssociationReport,
     ConcordanceResult,
@@ -79,5 +64,15 @@ from .exchangeable import (
     parse_exchangeable_spec,
 )
 from .specio import build_copula, load_copula_spec
+from .reference import (
+    BivariateGfgm,
+    Coxian2Params,
+    cdf_epd,
+    coxian2_lst,
+    fgm_natural_cdf,
+    fgm_thetas,
+    huang_kotz_cdf,
+    marginal_cdf_representation,
+)
 
 __version__ = "0.1.0"

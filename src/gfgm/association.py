@@ -50,6 +50,7 @@ from .bernoulli import (
     _subset_products,
     complemented,
     pmf_to_moments,
+    validate_margin,
 )
 from .copula import GfgmCopula, _cdf_factors, _pdf_factors
 
@@ -169,10 +170,8 @@ def max_measures_gfgm_p(p: float, d: int) -> AssociationReport:
     that d in the hundreds stays in floating range.  Must agree with the
     generic atom formulas applied to the comonotone pmf.
     """
-    p = float(p)
+    p = validate_margin(p)
     d = int(d)
-    if not 0.0 < p < 1.0:
-        raise InvalidDistributionError("p must lie in (0, 1)")
     pref = _prefactor(d)
     r_lo = (1.0 - p) * (2.0 * (1.0 - p) / (2.0 - p)) ** d + p * ((3.0 - 2.0 * p) / (2.0 - p)) ** d
     r_up = (1.0 - p) * (2.0 / (2.0 - p)) ** d + p * (1.0 / (2.0 - p)) ** d
@@ -196,10 +195,8 @@ def min_measures_exchangeable(p: float, d: int) -> tuple[float, float]:
     the cross-check tests pin it against the atom-level computation on the
     expanded pmf.
     """
-    p = float(p)
+    p = validate_margin(p)
     d = int(d)
-    if not 0.0 < p < 1.0:
-        raise InvalidDistributionError("p must lie in (0, 1)")
     pref = _prefactor(d)
     pd = p * d
     k = round(pd)
@@ -357,29 +354,43 @@ class ConcordanceResult:
         return "incomparable"
 
 
-def _law_moments(law, dense: bool) -> np.ndarray:
-    """Rows mu and lambda of a law: over the 2^d subset masks when ``dense``, else by size.
+def _dense_moments(law) -> np.ndarray:
+    """Rows mu and lambda of a law over the 2^d subset masks (d <= 20).
 
     mu_S = E[prod_{j in S} I_j] and lambda_S = E[prod_{j in S} (1 - I_j)].
-    Only count laws and independence laws with equal margins have the
-    per-size form, k = 0..d.  A count law forms mu_k = sum_j q_j C(j, k) / C(d, k)
-    (lambda_k over d - j) with the ratio as the running product
-    prod_{i<k} (j-i)/(d-i), which lies in [0, 1]: O(d^2) time, O(d) memory
-    and no binomial coefficient; its dense form is broadcast by popcount.
+    A count law's rows are its per-size rows broadcast by popcount.
     """
     if isinstance(law, BernoulliPmf):
         return np.stack([pmf_to_moments(law), pmf_to_moments(complemented(law))])
-    d, p = law.d, law.margins
-    if isinstance(law, IndependenceLaw) and dense:  # subset products of (1, p_j), (1, 1 - p_j)
-        return _subset_products(np.stack([np.ones((d, 2)), np.stack([p, 1.0 - p], 1)], 1)).T
+    if isinstance(law, IndependenceLaw):  # subset products of (1, p_j), (1, 1 - p_j)
+        p = law.p
+        return _subset_products(np.stack([np.ones((law.d, 2)), np.stack([p, 1.0 - p], 1)], 1)).T
+    return _size_moments(law)[0][:, _popcount(np.arange(1 << law.d))]
+
+
+def _size_moments(law) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest mu_S and lambda_S over the subsets of each size k = 0..d.
+
+    Each is a (2, d + 1) array, rows mu and lambda.  For a product law they
+    are the products of its k largest and of its k smallest margins (of
+    1 - p for lambda).  A count law's moments depend on |S| only: it forms
+    mu_k = sum_j q_j C(j, k) / C(d, k) (lambda_k over d - j) with the ratio
+    as the running product prod_{i<k} (j-i)/(d-i), which lies in [0, 1]:
+    O(d^2) time, O(d) memory and no binomial coefficient.
+    """
+    d = law.d
     if isinstance(law, IndependenceLaw):
-        return np.power.outer([p[0], 1.0 - p[0]], np.arange(d + 1))
+        s = np.sort(law.p)
+        largest = np.stack([s[::-1], 1.0 - s])  # descending p, descending 1 - p
+        ones = np.ones((2, 1))
+        return (np.cumprod(np.hstack([ones, largest]), axis=1),
+                np.cumprod(np.hstack([ones, largest[:, ::-1]]), axis=1))
     counts = np.stack([np.arange(d + 1.0), d - np.arange(d + 1.0)])
     ratio, out = np.ones_like(counts), np.ones((2, d + 1))
     for k in range(1, d + 1):
         ratio *= (counts - (k - 1)) / (d - (k - 1))
         out[:, k] = ratio @ law.q
-    return out[:, _popcount(np.arange(1 << d))] if dense else out
+    return out, out
 
 
 def check_concordance(
@@ -415,14 +426,18 @@ def check_concordance(
     margins are: mu_S = prod_{j in S} p_j, singletons make the condition
     necessary, and products of ordered nonnegative factors make it
     sufficient; lambda_S works the same way with 1 - p.  Such a pair
-    compares the rows (p, 1 - p), O(d) at any d.  Count laws and
-    independence laws with equal margins compare per subset size, O(d^2)
-    at any d; any other pair compares dense moments over the 2^d subsets,
-    which needs d <= 20.  ``grid_points_per_axis`` is accepted
-    and ignored: no grid is built, but perfbench still passes the argument
-    (and its counters read it), so it goes with the next change to
-    perfbench.  Copulas with different shape vectors are not
-    dependence-comparable and are rejected.
+    compares the rows (p, 1 - p), O(d) at any d.  A pair of laws without
+    atoms, at least one of them a count law, compares per subset size,
+    O(d^2) at any d: a count law's mu_S depends on |S| only, and over
+    |S| = k a product law's largest and smallest mu_S are the products of
+    its k largest and k smallest margins (lambda_S likewise with 1 - p), so
+    mu1_S <= mu2_S for every S exactly when the largest mu1 of each size is
+    at most the smallest mu2 of that size.  A pair with atoms compares
+    dense moments over the 2^d subsets, which needs d <= 20.
+    ``grid_points_per_axis`` is accepted and ignored: no grid is built, but
+    perfbench still passes the argument (and its counters read it), so it
+    goes with the next change to perfbench.  Copulas with different shape
+    vectors are not dependence-comparable and are rejected.
     """
     if c1.d != c2.d:
         raise InvalidDistributionError("copulas must share the dimension")
@@ -430,12 +445,15 @@ def check_concordance(
         raise InvalidDistributionError(
             "copulas with different shape vectors are not dependence-comparable"
         )
-    if all(isinstance(c.law, IndependenceLaw) for c in (c1, c2)):
-        m1, m2 = (np.stack([c.law.p, 1.0 - c.law.p]) for c in (c1, c2))
+    # per law, the largest and the smallest rows (mu, lambda) it can compare
+    laws = (c1.law, c2.law)
+    if all(isinstance(law, IndependenceLaw) for law in laws):
+        bounds = [2 * (np.stack([law.p, 1.0 - law.p]),) for law in laws]
+    elif any(isinstance(law, BernoulliPmf) for law in laws):
+        _check_dense_dim(c1.d)
+        bounds = [2 * (_dense_moments(law),) for law in laws]
     else:
-        dense = any(isinstance(c.law, BernoulliPmf) or np.ptp(c.law.margins) > 0 for c in (c1, c2))
-        if dense:
-            _check_dense_dim(c1.d)
-        m1, m2 = (_law_moments(c.law, dense) for c in (c1, c2))
-    forward, backward = (np.all(a <= b + _MOMENT_SLACK, axis=1) for a, b in ((m1, m2), (m2, m1)))
+        bounds = [_size_moments(law) for law in laws]
+    (hi1, lo1), (hi2, lo2) = bounds
+    forward, backward = (np.all(a <= b + _MOMENT_SLACK, axis=1) for a, b in ((hi1, lo2), (hi2, lo1)))
     return ConcordanceResult(*map(bool, (forward[0], backward[0], forward[1], backward[1])))

@@ -2,7 +2,9 @@
 
 This module is the dependence engine of the package: every copula in the
 family is driven by the law of a d-variate Bernoulli vector I with margins
-p_j = Pr(I_j = 1) strictly inside (0, 1).
+p_j = Pr(I_j = 1) in (PROB_ATOL, 1 - PROB_ATOL) = (1e-12, 1 - 1e-12), the
+one margin domain, checked by ``validate_margin`` (a scalar) and
+``validate_margins`` (a vector).
 
 Outcomes are encoded as integer bit masks.  Component j (0-based) of an
 outcome is bit j of the mask, ``(mask >> j) & 1``.  In the text format the
@@ -60,6 +62,7 @@ MAX_DIMENSION = 63
 #: Dense 2^d tables (moments, expansions) are only built up to this dimension.
 MAX_DENSE_DIMENSION = 20
 PROB_ATOL = 1e-12
+_MARGIN_DOMAIN = f"({PROB_ATOL:g}, 1 - {PROB_ATOL:g})"
 SUM_SLACK = 1e-9
 #: Margins per block of the subset-product tables in ``expect_products``.
 BLOCK_BITS = 4
@@ -88,13 +91,24 @@ def bitstring_to_mask(s: str) -> int:
     return sum(1 << j for j, ch in enumerate(s) if ch == "1")
 
 
+def validate_margin(p) -> float:
+    """Check that one margin lies in (PROB_ATOL, 1 - PROB_ATOL); return it as a float.
+
+    A plain float comparison: the closed forms call it once per evaluation.
+    """
+    p = float(p)
+    if not PROB_ATOL < p < 1.0 - PROB_ATOL:  # also rejects NaN
+        raise InvalidDistributionError(f"margin {p!r} must lie in {_MARGIN_DOMAIN}")
+    return p
+
+
 def validate_margins(p) -> np.ndarray:
-    """Check that a margin vector lies strictly inside (0, 1)^d, d >= 2."""
+    """Check that a margin vector, d >= 2, lies in (PROB_ATOL, 1 - PROB_ATOL)^d."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.ndim != 1 or p.size < 2:
         raise InvalidDistributionError("margin vector must be 1-D with d >= 2")
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise InvalidDistributionError("margins must lie strictly in (0, 1)")
+    if not np.all((p > PROB_ATOL) & (p < 1.0 - PROB_ATOL)):  # also rejects NaN
+        raise InvalidDistributionError(f"margins must lie in {_MARGIN_DOMAIN}")
     return p
 
 
@@ -180,8 +194,8 @@ class BernoulliPmf(_Law):
         Probabilities of the atoms; nonnegative, summing to 1.
 
     Construction normalizes probability sums that are within 1e-9 of 1 and
-    rejects anything further off.  Margins of exactly 0 or 1 are rejected:
-    the copula exponents 1/(1-p) and p/(1-p) degenerate there.
+    rejects anything further off.  Margins within PROB_ATOL of 0 or 1 are
+    rejected: the copula exponents 1/(1-p) and p/(1-p) degenerate there.
     """
 
     d: int
@@ -212,9 +226,7 @@ class BernoulliPmf(_Law):
         keep = probs > 0.0
         object.__setattr__(self, "masks", masks[keep])
         object.__setattr__(self, "probs", probs[keep])
-        m = marginals(self)
-        if np.any(m <= PROB_ATOL) or np.any(m >= 1.0 - PROB_ATOL):
-            raise InvalidDistributionError("derived margins must lie strictly in (0, 1)")
+        validate_margins(marginals(self))
 
     @classmethod
     def from_dict(cls, d: int, atoms: Mapping[int, float]) -> "BernoulliPmf":
@@ -398,18 +410,23 @@ def theta_bounds(p1: float, p2: float) -> tuple[float, float]:
     return lo, hi
 
 
+def check_theta(p1: float, p2: float, theta: float) -> None:
+    """Reject theta outside :func:`theta_bounds`, widened by 1e-12 at each end."""
+    lo, hi = theta_bounds(p1, p2)
+    if not lo - 1e-12 <= theta <= hi + 1e-12:  # also rejects NaN
+        raise InvalidDistributionError(
+            f"theta={theta} outside admissible interval [{lo}, {hi}] "
+            f"for margins ({p1}, {p2})"
+        )
+
+
 def from_theta_bivariate(p1: float, p2: float, theta: float) -> BernoulliPmf:
     """Bivariate pmf with margins (p1, p2) and dependence parameter theta.
 
     The four cells are linear in theta; theta = 0 is independence and the
     interval endpoints are the Frechet-Hoeffding lower and upper bounds.
     """
-    lo, hi = theta_bounds(p1, p2)
-    if not lo - 1e-12 <= theta <= hi + 1e-12:
-        raise InvalidDistributionError(
-            f"theta={theta} outside admissible interval [{lo}, {hi}] "
-            f"for margins ({p1}, {p2})"
-        )
+    check_theta(p1, p2, theta)
     c = p1 * p2 * theta
     atoms = {
         0b00: (1.0 - p1) * (1.0 - p2) + c,

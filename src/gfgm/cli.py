@@ -12,8 +12,8 @@ The numeric tables of ``sample``, ``pdf-grid`` and ``eval`` go through
 exact vectorised conversion, byte for byte what ``'%.Ng' % x`` writes, and
 short or mostly out-of-range chunks with ``%`` itself.
 
-Exit codes: 0 success, 2 validation error, 3 numeric cross-check
-disagreement (``--verify``).
+Exit codes: 0 success, 2 validation error or a request too large for
+memory, 3 numeric cross-check disagreement (``--verify``).
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ _FIXED_LO, _FIXED_HI = 1e-5, 1e17  # the values _format_g can write in fixed not
 # A value's %.Ng text is at most 22 bytes ("0.000" and 17 digits); with its
 # separator at byte 22 it fills a row of 24 bytes, three uint64 words.
 _TEXT_BYTES = 22
+#: Most ``pdf-grid`` points per axis; the check comes before anything is allocated.
+MAX_RESOLUTION = 2048
 
 
 class OracleDisagreement(Exception):
@@ -273,8 +275,8 @@ def _cmd_pdf_grid(args) -> int:
     if c.d != 2:
         raise InvalidDistributionError("pdf-grid needs a bivariate copula")
     res = args.resolution
-    if res < 1:
-        raise InvalidDistributionError("--resolution must be at least 1")
+    if not 1 <= res <= MAX_RESOLUTION:
+        raise InvalidDistributionError(f"--resolution must be from 1 to {MAX_RESOLUTION}")
     axis = (np.arange(res) + 0.5) / res
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([uu.ravel(), vv.ravel()])
@@ -403,7 +405,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_grid = sub.add_parser("pdf-grid", help="density on a uniform grid (d=2)")
     _add_copula_args(p_grid)
-    p_grid.add_argument("--resolution", type=int, default=64)
+    p_grid.add_argument(
+        "--resolution", type=int, default=64,
+        help=f"grid points per axis, 1 to {MAX_RESOLUTION}",
+    )
     p_grid.add_argument("--out")
     p_grid.set_defaults(func=_cmd_pdf_grid)
 
@@ -463,7 +468,7 @@ def main(argv=None) -> int:
     except OracleDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidDistributionError, ValueError, OSError) as exc:
+    except (InvalidDistributionError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,7 @@ from .bernoulli import (
     _check_dense_dim,
     _Law,
     _popcount,
+    validate_margin,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
 
@@ -63,7 +64,7 @@ class ExchangeableCountPmf(_Law):
     """Law of the count N = I_1 + ... + I_d of an exchangeable vector.
 
     ``q[k] = Pr(N = k)`` for k = 0..d.  The common margin is p = E[N]/d and
-    must lie strictly in (0, 1).
+    must lie in the margin domain (1e-12, 1 - 1e-12).
     """
 
     d: int
@@ -82,8 +83,7 @@ class ExchangeableCountPmf(_Law):
             raise InvalidDistributionError(f"count masses sum to {total}, not 1")
         q = np.clip(q, 0.0, None) / total
         object.__setattr__(self, "q", q)
-        if not PROB_ATOL < self.p < 1.0 - PROB_ATOL:
-            raise InvalidDistributionError("margin p = E[N]/d must lie strictly in (0, 1)")
+        validate_margin(self.p)
 
     @property
     def p(self) -> float:
@@ -191,8 +191,7 @@ def _extremal_rows(p: float, d: int):
     are then made one at a time, so a caller that writes them needs O(d)
     memory, not the O(d^3) of all the laws.
     """
-    if not PROB_ATOL < p < 1.0 - PROB_ATOL:
-        raise InvalidDistributionError("p must lie in (0, 1)")
+    p = validate_margin(p)
     if d < 2:
         raise InvalidDistributionError("dimension must be >= 2")
     pd, k = _split_pd(p, d)
@@ -231,8 +230,7 @@ def end_count_pmf(p: float, d: int) -> ExchangeableCountPmf:
     integer): the least-spread count law with mean pd, and the supermodular
     lower bound of the exchangeable class.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidDistributionError("p must lie in (0, 1)")
+    p = validate_margin(p)
     d = int(d)
     pd, k = _split_pd(p, d)
     q = np.zeros(d + 1)
@@ -362,9 +360,7 @@ def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
     E[Lambda^k]; equals the cdf of the expanded exchangeable copula.
     """
     d = int(d)
-    p = spec.moment(1)
-    if not 0.0 < p < 1.0:
-        raise InvalidDistributionError("mixture mean E[Lambda] must lie in (0, 1)")
+    p = validate_margin(spec.moment(1))  # the mixture mean E[Lambda]
     pts, single = _as_points(u, d)
     x = _pow_log(pts, 1.0 / (1.0 - p))
     mom = np.array([spec.moment(k) for k in range(d + 1)])
@@ -376,12 +372,27 @@ def _beta_binomial_count_pmf(alpha: float, beta: float, d: int) -> ExchangeableC
     """Beta-binomial count pmf: q_0 = E[(1 - Lambda)^d], then q_{k+1}/q_k.
 
     Every factor is positive, so nothing cancels (the moment route's
-    alternating sum does from d ~ 20).
+    alternating sum does from d ~ 20).  When q_0 is below the normal range
+    or a running product of the ratios overflows (a concentrated mixing law
+    at high d, such as Beta(500, 1) at d = 1000), the products are carried
+    as mantissa and power-of-two exponent, scaled so the largest mass is
+    in [0.5, 1), and normalised instead.
     """
     q0 = beta_moments(beta, alpha, d)[-1]  # 1 - Lambda ~ Beta(beta, alpha)
     k = np.arange(d)
     ratios = (d - k) * (alpha + k) / ((k + 1) * (beta + d - 1 - k))
-    return ExchangeableCountPmf(d, q0 * np.concatenate(([1.0], np.cumprod(ratios))))
+    with np.errstate(over="ignore"):
+        products = np.cumprod(ratios)
+    if q0 >= np.finfo(float).tiny and np.all(products < np.inf):
+        return ExchangeableCountPmf(d, q0 * np.concatenate(([1.0], products)))
+    mantissas, exponents, m, e = [1.0], [0], 1.0, 0
+    for r in ratios.tolist():  # the same roundings as np.cumprod; frexp is exact
+        m, step = math.frexp(m * r)
+        e += step
+        mantissas.append(m)
+        exponents.append(e)
+    q = np.ldexp(mantissas, np.subtract(exponents, max(exponents)))
+    return ExchangeableCountPmf(d, q / q.sum())
 
 
 def beta_mixture_copula(alpha: float, beta: float, d: int) -> GfgmCopula:

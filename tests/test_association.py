@@ -370,13 +370,47 @@ class TestConcordanceChecks:
         assert res.verdict == "c_ordered"
         assert res.cl_forward and res.cu_forward
 
-    def test_largest_supported_dimension(self):
+    def test_atom_pair_dense_limit(self):
+        # a pair with atoms compares dense moments over 2^d subsets: d <= 20
         p = 0.45
         res = check_concordance(
-            GfgmCopula.from_pmf(end_pmf(p, 6)), GfgmCopula.comonotone([p] * 6)
+            GfgmCopula.from_pmf(end_pmf(p, 20)), GfgmCopula.comonotone([p] * 20)
         )
         assert res.verdict == "c_ordered"
         assert res.cl_forward and res.cu_forward and not res.cl_backward
+        with pytest.raises(InvalidDistributionError, match="d <= 20"):
+            check_concordance(GfgmCopula.comonotone([p] * 21), GfgmCopula.comonotone([p] * 21))
+
+    @pytest.mark.parametrize("d", [21, 200])
+    def test_independence_against_count_law_ulp_apart(self, d):
+        # unequal product margins against a count law compare per size, at any d
+        cp = end_count_pmf(0.4, d)
+        p = cp.margins.copy()
+        want = check_concordance(GfgmCopula.independence(p), GfgmCopula(cp))
+        p[d // 2] = np.nextafter(p[d // 2], 1.0)
+        assert check_concordance(GfgmCopula.independence(p), GfgmCopula(cp)) == want
+        assert check_concordance(GfgmCopula(cp), GfgmCopula.independence(p)) == ConcordanceResult(
+            want.cl_backward, want.cl_forward, want.cu_backward, want.cu_forward
+        )
+        assert want.verdict == "c_ordered" and want.cl_backward and not want.cl_forward
+
+    def test_independence_against_count_law_matches_dense(self):
+        # per size against the dense moments of the count law's atoms, with
+        # some product margins moved off the count law's by up to 1e-11
+        rng = np.random.default_rng(2121)
+        verdicts = set()
+        for d in (2, 3, 4, 5, 6, 7, 8):
+            for _ in range(6):
+                cp = random_exchangeable_count(rng, d)
+                moved = rng.uniform(-1e-11, 1e-11, size=d) * rng.integers(0, 2, size=d)
+                ind = GfgmCopula.independence(cp.margins + moved)
+                for law in (cp, end_count_pmf(cp.p, d), comonotone_count_pmf(cp.p, d)):
+                    count, atoms = GfgmCopula(law), GfgmCopula(expand(law))
+                    res = check_concordance(ind, count)
+                    assert res == check_concordance(ind, atoms), d
+                    assert check_concordance(count, ind) == check_concordance(atoms, ind), d
+                    verdicts.add(res.verdict)
+        assert {"c_ordered", "incomparable"} <= verdicts
 
     def test_rejects_mismatched_shape_vectors(self):
         with pytest.raises(InvalidDistributionError, match="shape"):
@@ -393,13 +427,13 @@ class TestConcordanceChecks:
         with pytest.raises(InvalidDistributionError, match="d <= 20"):
             check_concordance(GfgmCopula.independence(p), GfgmCopula.comonotone(p))
 
-    def test_one_point_grid(self):
+    def test_ignored_grid_argument_one_point(self):
         c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
         c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
         res = check_concordance(c1, c2, 1)
         assert res.verdict == "c_ordered" and res.cl_backward and not res.cl_forward
 
-    def test_accepts_numpy_integer_grid(self):
+    def test_ignored_grid_argument_numpy_integer(self):
         c1 = GfgmCopula.bivariate(0.4, 0.6, 0.6)
         c2 = GfgmCopula.bivariate(0.4, 0.6, -0.9)
         assert check_concordance(c1, c2, np.int64(5)) == check_concordance(c1, c2, 5)
@@ -464,7 +498,7 @@ class TestConcordanceChecks:
         assert {"c_ordered", "incomparable"} <= verdicts
 
     @pytest.mark.parametrize("d,g", [(6, None), (3, 101)])
-    def test_memory_is_bounded(self, d, g):
+    def test_ignored_grid_argument_memory_is_bounded(self, d, g):
         # the point route held the (g^d, d) points and four g^d-value grids
         p = 0.45
         c1, c2 = GfgmCopula(end_pmf(p, d)), GfgmCopula.comonotone([p] * d)

@@ -27,7 +27,7 @@ from gfgm.bernoulli import (
     nu_all,
     parse_pmf_text,
 )
-from gfgm.copula import fgm_thetas
+from gfgm.reference import fgm_thetas
 from gfgm.exchangeable import ExchangeableCountPmf, expand
 from gfgm.sampling import sample_bernoulli
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfgm import association, cdf_epd, cli
+from gfgm import association, cdf_epd, cli, sampling
 from gfgm.cli import main
 
 
@@ -49,6 +49,13 @@ class TestEval:
         else:
             assert code == 2 and out == ""
             assert "d <= 1029" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["1e-13", "0.9999999999999"])
+    def test_margin_outside_the_domain(self, capsys, p):
+        # every route takes margins in (1e-12, 1 - 1e-12)
+        code, out, err = _run(capsys, ["eval", "--p", f"{p},0.5", "-u", "0.5,0.5"])
+        assert code == 2 and out == ""
+        assert "(1e-12, 1 - 1e-12)" in err
 
     def test_independence_point(self, capsys):
         code, out, _ = _run(capsys, ["eval", "--p", "0.5,0.5", "-u", "0.3,0.4"])
@@ -329,6 +336,17 @@ class TestSample:
         assert out == ""
         assert "still sampled through atoms (d <= 20)" in err
 
+    def test_memory_error_exit_code(self, capsys, monkeypatch):
+        # --n 10000000000 asks numpy for 74.5 GiB of masks
+        def sample(c, n, seed):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(sampling, "sample", sample)
+        argv = ["sample", "--p", "0.4,0.6", "--n", "10000000000", "--seed", "1"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "74.5 GiB" in err and "Traceback" not in err
+
 
 class TestPdfGrid:
     def test_independence_flat(self, tmp_path):
@@ -358,6 +376,22 @@ class TestPdfGrid:
     def test_needs_bivariate(self, capsys):
         code, _, err = _run(capsys, ["pdf-grid", "--p", "0.5,0.5,0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("res", [cli.MAX_RESOLUTION + 1, 100000])
+    def test_resolution_cap(self, tmp_path, capsys, res):
+        # 100000 per axis was a 74.5 GiB grid; the check comes before any allocation
+        out = tmp_path / "g.csv"
+        argv = ["pdf-grid", "--p", "0.4,0.6", "--theta", "0.5", "--resolution", str(res)]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert f"--resolution must be from 1 to {cli.MAX_RESOLUTION}" in err
+        assert peak <= 1_000_000
 
     @pytest.mark.parametrize("res", ["0", "-2"])
     def test_rejects_empty_grid(self, capsys, res):

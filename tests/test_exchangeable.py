@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,6 +316,27 @@ class TestBetaMixture:
             if d <= 20:
                 c = beta_mixture_copula(alpha, beta, d)
                 np.testing.assert_allclose(count_pmf_of(c.bernoulli).q, want, rtol=1e-12)
+
+    def test_beta_spec_concentrated_mixing_at_high_d(self):
+        # q_0 = E[(1 - Lambda)^d] underflows and the ratio products overflow;
+        # the reference is the exact rational pmf, rounded once
+        from scipy.stats import betabinom
+
+        alpha, beta, d = 500, 1, 1000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = parse_exchangeable_spec(f"beta:{alpha},{beta}", d=d)
+        q = [Fraction(1)]
+        for k in range(d):
+            q.append(q[-1] * (d - k) * (alpha + k) / ((k + 1) * (beta + d - 1 - k)))
+        total = sum(q)
+        exact = np.array([float(x / total) for x in q])
+        # below the normal range the masses round twice
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(cp.q, exact, rtol=1e-13, atol=tiny)
+        # scipy's own masses are off the exact ones by up to 4.2e-12 here
+        want = betabinom.pmf(np.arange(d + 1), d, alpha, beta)
+        np.testing.assert_allclose(cp.q, want, rtol=1e-11, atol=tiny)
 
     def test_moments_recursion(self):
         m = beta_moments(1.0, 1.0, 4)

@@ -46,6 +46,7 @@ from .bernoulli import (
     IndependenceLaw,
     InvalidDistributionError,
     _check_dense_dim,
+    _end_support,
     _popcount,
     _subset_products,
     complemented,
@@ -163,56 +164,51 @@ def measures(c: GfgmCopula) -> AssociationReport:
     return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
 
 
+def _power_sums(p: float, d: int, support) -> tuple[float, float]:
+    """Orthant contractions (rho_cL side, rho_cU side) of a count law with margin p.
+
+    ``support`` holds (count, mass) pairs; every margin carries the pair (g0, g1)
+    of :func:`_orthant_kernels`, so k ones add w g1^k g0^(d-k), in count order.
+    """
+    (l0, l1), (u0, u1) = _orthant_kernels(p)
+    lo = up = 0.0
+    for k, w in support:
+        lo += w * l1**k * l0 ** (d - k)
+        up += w * u1**k * u0 ** (d - k)
+    return lo, up
+
+
 def max_measures_gfgm_p(p: float, d: int) -> AssociationReport:
     """Measures of the most positively dependent equal-margin copula.
 
-    Closed forms in (p, d) only; factored as powers of per-margin ratios so
-    that d in the hundreds stays in floating range.  Must agree with the
-    generic atom formulas applied to the comonotone pmf.
+    The comonotone count law on {0, d}, through the per-margin kernels as
+    powers, so that d in the hundreds stays in floating range; tau is
+    p (1-p) ((2 G(1,0))^d - 2 + (2 G(0,1))^d) / (2^(d-1) - 1).  Must agree
+    with the generic formulas applied to the comonotone law.
     """
     p = validate_margin(p)
     d = int(d)
     pref = _prefactor(d)
-    r_lo = (1.0 - p) * (2.0 * (1.0 - p) / (2.0 - p)) ** d + p * ((3.0 - 2.0 * p) / (2.0 - p)) ** d
-    r_up = (1.0 - p) * (2.0 / (2.0 - p)) ** d + p * (1.0 / (2.0 - p)) ** d
-    lo = pref * (r_lo - 1.0)
-    up = pref * (r_up - 1.0)
-    t = (
-        p
-        * (1.0 - p)
-        / (2.0 ** (d - 1) - 1.0)
-        * (((3.0 - p) / (2.0 - p)) ** d - 2.0 + ((1.0 - p) / (2.0 - p)) ** d)
-    )
+    m_lo, m_up = _power_sums(p, d, ((0, 1.0 - p), (d, p)))
+    lo, up = pref * (m_lo - 1.0), pref * (m_up - 1.0)
+    _, g01, g10, _ = _tau_kernel(p)
+    t = p * (1.0 - p) / (2.0 ** (d - 1) - 1.0) * ((2.0 * g10) ** d - 2.0 + (2.0 * g01) ** d)
     return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
 
 
 def min_measures_exchangeable(p: float, d: int) -> tuple[float, float]:
     """Minimal (rho_cL, rho_cU) over exchangeable members with margin p.
 
-    Attained by the extreme negative dependence pmf whose count variable
-    sits on floor(pd) and ceil(pd) (or degenerates at pd when integer).
+    Attained by the extreme negative dependence law, whose count sits on
+    floor(pd) and ceil(pd) (or at pd when integer, see ``_end_support``).
     The prefactor is (d+1)/(2^d-d-1), identical to the generic formulas';
-    the cross-check tests pin it against the atom-level computation on the
-    expanded pmf.
+    the cross-check tests pin it against the count-law contraction and the
+    atom-level computation on the expanded pmf.
     """
     p = validate_margin(p)
     d = int(d)
     pref = _prefactor(d)
-    pd = p * d
-    k = round(pd)
-    a_lo = (3.0 - 2.0 * p) / (2.0 - p)
-    b_lo = (2.0 - 2.0 * p) / (2.0 - p)
-    a_up = 1.0 / (2.0 - p)
-    b_up = 2.0 / (2.0 - p)
-    if abs(pd - k) <= 1e-9:
-        m_lo = a_lo**k * b_lo ** (d - k)
-        m_up = a_up**k * b_up ** (d - k)
-    else:
-        j1 = int(np.floor(pd))
-        j2 = j1 + 1
-        w1, w2 = j2 - pd, pd - j1
-        m_lo = w1 * a_lo**j1 * b_lo ** (d - j1) + w2 * a_lo**j2 * b_lo ** (d - j2)
-        m_up = w1 * a_up**j1 * b_up ** (d - j1) + w2 * a_up**j2 * b_up ** (d - j2)
+    m_lo, m_up = _power_sums(p, d, _end_support(p, d))
     return pref * (m_lo - 1.0), pref * (m_up - 1.0)
 
 

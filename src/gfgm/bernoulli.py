@@ -112,6 +112,20 @@ def validate_margins(p) -> np.ndarray:
     return p
 
 
+def _end_support(p: float, d: int) -> tuple[tuple[int, float], ...]:
+    """(count, mass) pairs of the least-spread count law with mean pd.
+
+    The point mass at k when pd lies within 4 ulps of the integer k (p = 0.07
+    at d = 100 gives 7), else masses j + 1 - pd and pd - j on j = floor(pd), j + 1.
+    """
+    pd = p * d
+    k = round(pd)
+    if abs(pd - k) <= 4 * 2**-52 * pd:
+        return ((k, 1.0),)
+    j = int(pd)  # floor, as pd > 0
+    return ((j, j + 1 - pd), (j + 1, pd - j))
+
+
 def _subset_products(f: np.ndarray) -> np.ndarray:
     """Products over every subset of k factor pairs, for (..., k, 2, n) tables.
 

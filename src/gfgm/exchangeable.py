@@ -35,6 +35,7 @@ from .bernoulli import (
     InvalidDistributionError,
     _check_atom_form,
     _check_dense_dim,
+    _end_support,
     _Law,
     _popcount,
     validate_margin,
@@ -170,16 +171,10 @@ def count_pmf_of(pmf: BernoulliPmf, tol: float = 1e-12) -> ExchangeableCountPmf:
 
 def comonotone_count_pmf(p: float, d: int) -> ExchangeableCountPmf:
     """Count pmf of the comonotone vector: all-zeros w.p. 1-p, all-ones w.p. p."""
+    p = validate_margin(p)
     q = np.zeros(d + 1)
     q[0], q[d] = 1.0 - p, p
     return ExchangeableCountPmf(d, q)
-
-
-def _split_pd(p: float, d: int) -> tuple[float, int | None]:
-    """(pd, k) where k is the integer value of pd, or None when fractional."""
-    pd = p * d
-    k = round(pd)
-    return pd, (k if abs(pd - k) <= 1e-9 else None)
 
 
 def _extremal_rows(p: float, d: int):
@@ -194,15 +189,13 @@ def _extremal_rows(p: float, d: int):
     p = validate_margin(p)
     if d < 2:
         raise InvalidDistributionError("dimension must be >= 2")
-    pd, k = _split_pd(p, d)
-    if k is not None:
-        j1_max, j2_min, mean = k - 1, k + 1, float(k)
-    else:
-        j1_max = int(np.floor(pd))
-        j2_min, mean = j1_max + 1, pd
-    pairs = ((j1, j2) for j1 in range(j1_max + 1) for j2 in range(j2_min, d + 1))
+    support = _end_support(p, d)
+    lo, hi = support[0][0], support[-1][0]
+    mean = p * d if lo < hi else float(lo)
+    # j1 runs over the counts below the mean, j2 over those above it
+    pairs = ((j1, j2) for j1 in range(hi) for j2 in range(lo + 1, d + 1))
     rows = ((j1, j2, (j2 - mean) / (j2 - j1), (mean - j1) / (j2 - j1)) for j1, j2 in pairs)
-    return itertools.chain(rows, [] if k is None else [(k, k, 1.0, 0.0)])
+    return itertools.chain(rows, [(lo, hi, 1.0, 0.0)] if lo == hi else [])
 
 
 def extremal_count_pmfs(p: float, d: int) -> list[ExchangeableCountPmf]:
@@ -232,14 +225,9 @@ def end_count_pmf(p: float, d: int) -> ExchangeableCountPmf:
     """
     p = validate_margin(p)
     d = int(d)
-    pd, k = _split_pd(p, d)
     q = np.zeros(d + 1)
-    if k is not None:
-        q[k] = 1.0
-    else:
-        j1 = int(np.floor(pd))
-        q[j1] = j1 + 1 - pd
-        q[j1 + 1] = pd - j1
+    for k, w in _end_support(p, d):
+        q[k] = w
     return ExchangeableCountPmf(d, q)
 
 

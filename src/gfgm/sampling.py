@@ -64,6 +64,8 @@ def _open_uniform(gen: np.random.Generator, shape) -> np.ndarray:
     For k >= 2^52 the sum k + 1/2 is not a float64 and rounds half to even,
     so k = 2^53 - 1 gives exactly 1.0 (probability 2^-53 per draw).  Every
     other k gives a value strictly inside (0, 1); the largest is 1 - 2^-52.
+    The draws are returned unclamped: the categorical draw reads them as
+    they are, and :func:`sample` clamps its values below 1.0 instead.
     """
     k = gen.integers(0, 1 << 53, size=shape)
     return (k.astype(np.float64) + 0.5) / float(1 << 53)
@@ -105,6 +107,9 @@ def sample(c: GfgmCopula, n: int, seed: int) -> SampleBatch:
     u1 = _open_uniform(gen_u1, (n, c.d))
     bits = ((masks[:, None] >> np.arange(c.d)[None, :]) & 1).astype(bool)
     values = u0 ** (1.0 - p)[None, :] * np.where(bits, u1, 1.0)
+    # a U_0 draw of 1.0, or of 1 - 2^-52 raised to 1 - p <= 0.1, gives a value
+    # of 1.0; clamping to the largest float below 1 leaves all others unchanged
+    np.minimum(values, np.nextafter(1.0, 0.0), out=values)
     return SampleBatch(n, c.d, values, int(seed))
 
 

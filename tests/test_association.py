@@ -1,5 +1,6 @@
 """Association measures: closed forms, oracles, ordering consequences."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,45 @@ class TestMinimalClosedForms:
         c = GfgmCopula.from_pmf(end_pmf(p, d))
         assert rho_cL(c) == pytest.approx(lo, abs=1e-10)
         assert rho_cU(c) == pytest.approx(up, abs=1e-10)
+
+    def test_small_margin_evaluates_the_two_point_law(self):
+        # pd = 1e-10: the law on counts 0 and 1 has rhos near -1.2e-23, while
+        # the point mass at 0 would give -5.4e-13 and +5.4e-13
+        lo, up = min_measures_exchangeable(1e-11, 10)
+        assert abs(lo) < 1e-15 and abs(up) < 1e-15
+        end = measures_exchangeable(end_count_pmf(1e-11, 10))
+        assert (lo, up) == pytest.approx((end.rho_cL, end.rho_cU), abs=1e-15)
+
+
+#: Dimensions of the extreme closed-form digest and of the count-law checks.
+_EXTREME_DS = (2, 3, 7, 10, 50, 100, 333, 1000, 1023)
+
+
+class TestExtremeClosedForms:
+    def test_digest(self):
+        # SHA-256 of the float64 bytes of both extreme closed forms over
+        # p = k/1000, recorded before they were rewritten as power sums over
+        # a count support; any change in their order of operations shows
+        values = []
+        for d in _EXTREME_DS:
+            for k in range(1, 1000):
+                m = max_measures_gfgm_p(k / 1000, d)
+                values += [m.rho_cL, m.rho_cU, m.rho_c, m.tau, *min_measures_exchangeable(k / 1000, d)]
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
+            "4a5c0bfdd2dc6fc59c541ba121f09a988528d57f38b04b5e1d5c3f80ee1545d6"
+        )
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.37, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("d", [50, 200, 1000, 1023])
+    def test_match_count_law_contraction(self, p, d):
+        lo, up = min_measures_exchangeable(p, d)
+        end = measures_exchangeable(end_count_pmf(p, d))
+        assert (lo, up) == pytest.approx((end.rho_cL, end.rho_cU), rel=1e-12, abs=0.0)
+        m = max_measures_gfgm_p(p, d)
+        co = measures_exchangeable(comonotone_count_pmf(p, d))
+        assert (m.rho_cL, m.rho_cU, m.rho_c, m.tau) == pytest.approx(
+            (co.rho_cL, co.rho_cU, co.rho_c, co.tau), rel=1e-12, abs=0.0
+        )
 
 
 class TestQuadratureOracle:

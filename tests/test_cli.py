@@ -297,6 +297,13 @@ class TestMeasures:
 
 
 class TestSample:
+    @pytest.mark.parametrize("p", ["1.5", "nan", "-0.2"])
+    def test_comonotone_margin_outside_the_domain(self, capsys, p):
+        argv = ["sample", "--d", "3", "--exchangeable", f"comonotone:{p}", "--n", "5", "--seed", "1"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "(1e-12, 1 - 1e-12)" in err
+
     def test_deterministic_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sample", "--p", "0.4,0.6", "--theta", "0.3", "--n", "3", "--seed", "7"]
@@ -416,6 +423,13 @@ class TestExtremals:
         assert len(rows) == 4
         assert all(r[0] == "two_point" for r in rows)
 
+    def test_small_margin_case(self, tmp_path):
+        # pd = 1e-10 is fractional: j1 = 0 and j2 = 1..10, no degenerate law
+        out = tmp_path / "e.csv"
+        assert main(["extremals", "--p", "1e-11", "--d", "10", "--out", str(out)]) == 0
+        rows = _read_csv(out)[1:]
+        assert [r[:3] for r in rows] == [["two_point", "0", str(j2)] for j2 in range(1, 11)]
+
 
 # SHA-256 of ``extremals --p P --d D`` output, recorded while the command still
 # built every ExchangeableCountPmf before writing
@@ -518,6 +532,8 @@ def _pmf30_text():
 # SHA-256 of the bytes each command writes, recorded before the CSV writer was
 # rewritten; any change to number formatting, row order or line endings shows.
 # The d=10, d=30 and n=70000 samples and the r=257 grid span several write chunks.
+# The ``tables`` entries at precision 17 were recorded before the extreme closed
+# forms were rewritten as power sums over a count support; they pin every digit.
 CLI_DIGESTS = {
     "sample-end-d10": (
         ["sample", "--d", "10", "--exchangeable", "end:0.35", "--n", "7001", "--seed", "11"],
@@ -555,6 +571,25 @@ CLI_DIGESTS = {
     "tables-rhoL-min-p17": (
         ["tables", "--which", "rhoL-min", "--precision", "17"],
         "7f7b3a303dd27e9c85fa21baa705ba80f0b5d7d22367734c476c227b5969db68",
+    ),    "tables-rhoL-max-p17": (
+        ["tables", "--which", "rhoL-max", "--precision", "17"],
+        "b61f003e382fb98e5b7f563def598225111558c050d0a85c27218cbefe7d0707",
+    ),
+    "tables-rhoU-max-p17": (
+        ["tables", "--which", "rhoU-max", "--precision", "17"],
+        "dae74f788db976235a62c88026cfba1772786e399f5b00370f60b1aceb68c124",
+    ),
+    "tables-rhoC-max-p17": (
+        ["tables", "--which", "rhoC-max", "--precision", "17"],
+        "f541971cd999b23e29316298b5e25f7c2fe1e38c6d11992634d9d18456092c5a",
+    ),
+    "tables-tau-max-p17": (
+        ["tables", "--which", "tau-max", "--precision", "17"],
+        "285228b6ad7811f8f35858ae84b4e8bc608eee7d6277e488d2eca12e2fd86f8d",
+    ),
+    "tables-rhoU-min-p17": (
+        ["tables", "--which", "rhoU-min", "--precision", "17"],
+        "d75e6d9449a0582a04f1e908180e3358e14d1aec0124f5274c35c3025e0b7af5",
     ),
 }
 

@@ -168,6 +168,19 @@ class TestEnd:
             p = rng.uniform(0.1, 0.9)
             assert marginals(end_pmf(p, d)) == pytest.approx(np.full(d, p), abs=1e-12)
 
+    @pytest.mark.parametrize("p", [2e-12, 0.3 + 5e-11])
+    def test_mean_off_an_integer_keeps_the_margin(self, p):
+        # p * d lies within 1e-9 of an integer but not within 4 ulps of it
+        cp = end_count_pmf(p, 10)
+        assert np.count_nonzero(cp.q) == 2
+        assert cp.p == pytest.approx(p, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p,d", [(0.07, 100), (0.14, 50)])
+    def test_decimal_margin_snaps_to_the_integer_mean(self, p, d):
+        q = np.zeros(d + 1)
+        q[7] = 1.0
+        assert np.array_equal(end_count_pmf(p, d).q, q)
+
     def test_minimality_among_random_exchangeables(self, rng):
         for _ in range(15):
             d = int(rng.integers(3, 8))

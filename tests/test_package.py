@@ -83,7 +83,9 @@ def test_reference_forms_live_in_reference(name):
 _MARGIN_ROUTES = {
     "IndependenceLaw": lambda p: IndependenceLaw([p, 0.5]),
     "validate_margins": lambda p: validate_margins([0.5, p]),
+    "comonotone_count_pmf": lambda p: gfgm.comonotone_count_pmf(p, 10),
     "end_count_pmf": lambda p: gfgm.end_count_pmf(p, 1000),
+    "end_count_pmf_d10": lambda p: gfgm.end_count_pmf(p, 10),
     "max_measures_gfgm_p": lambda p: gfgm.max_measures_gfgm_p(p, 10),
     "min_measures_exchangeable": lambda p: gfgm.min_measures_exchangeable(p, 10),
     "cdf_epd": lambda p: gfgm.cdf_epd(p, 3, [0.5, 0.5, 0.5]),
@@ -94,7 +96,7 @@ _MARGIN_ROUTES = {
 
 @pytest.mark.parametrize("route", sorted(_MARGIN_ROUTES))
 def test_one_margin_domain(route):
-    # (1e-12, 1 - 1e-12) everywhere; end_count_pmf needs pd > 1e-9 to keep its margin
+    # (1e-12, 1 - 1e-12) everywhere, at any d: end_count_pmf keeps a small margin
     build = _MARGIN_ROUTES[route]
     for p in (1e-13, 1.0 - 1e-13, 0.0, 1.0, float("nan")):
         with pytest.raises(InvalidDistributionError, match=r"\(1e-12, 1 - 1e-12\)"):

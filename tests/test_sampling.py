@@ -16,6 +16,7 @@ from gfgm import (
     sample_bernoulli,
     uniform_ks_statistic,
 )
+from gfgm import sampling
 from gfgm.sampling import _categorical_masks, _open_uniform, _spawn_generators
 
 from conftest import random_copula
@@ -42,6 +43,31 @@ class TestSampleBatch:
     def test_rejects_nonpositive_n(self, rng):
         with pytest.raises(ValueError):
             sample(random_copula(rng, 2), 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "k,p",
+        [
+            ((1 << 53) - 1, 0.5),  # _open_uniform gives exactly 1.0
+            ((1 << 53) - 2, 0.95),  # 1 - 2^-52, whose power 1 - p rounds up to 1.0
+        ],
+    )
+    def test_values_below_one_when_u0_rounds_up(self, monkeypatch, k, p):
+        class StubGenerator:  # every U_0 draw is k
+            def integers(self, low, high, size):
+                return np.full(size, k, dtype=np.int64)
+
+        u0 = _open_uniform(StubGenerator(), (1, 2))
+        assert np.all(u0 ** (1.0 - p) == 1.0)
+        real = _spawn_generators
+        monkeypatch.setattr(
+            sampling, "_spawn_generators", lambda seed: [real(seed)[0], StubGenerator(), real(seed)[2]]
+        )
+        c = GfgmCopula.independence([p, p])
+        batch = sample(c, 200, 1)
+        bits = (sample_bernoulli(c.bernoulli, 200, 1)[:, None] >> np.arange(2)) & 1 == 1
+        assert not bits.all()
+        u1 = _open_uniform(real(1)[2], (200, 2))
+        assert np.array_equal(batch.values, np.where(bits, u1, np.nextafter(1.0, 0.0)))
 
 
 class TestBernoulliDraws:

@@ -7,6 +7,9 @@ grids over p and d), ``sample`` (seeded batches as CSV), ``extremals``
 ``order-check`` (concordance order, decided exactly from the moments of the
 two Bernoulli laws).  All outputs are CSV with ``#``-prefixed metadata
 comments.
+A call registers only the subparser of the command it runs (``_COMMANDS``
+holds each command's help, arguments and handler); ``-h``, an empty or an
+unknown command gets all seven, so help and errors read as they always have.
 The numeric tables of ``sample``, ``pdf-grid`` and ``eval`` go through
 ``_write_rows``, which writes long chunks of ``%.Ng`` text (N <= 17) by an
 exact vectorised conversion, byte for byte what ``'%.Ng' % x`` writes, and
@@ -46,6 +49,10 @@ _FIXED_LO, _FIXED_HI = 1e-5, 1e17  # the values _format_g can write in fixed not
 _TEXT_BYTES = 22
 #: Most ``pdf-grid`` points per axis; the check comes before anything is allocated.
 MAX_RESOLUTION = 2048
+# ``pdf-grid`` evaluates and writes about this many grid points at a time,
+# in whole grid rows: a table of about 1.5 MB at any resolution, and one
+# block for grids of up to 256 points per axis.
+_GRID_BLOCK_POINTS = 1 << 16
 
 
 class OracleDisagreement(Exception):
@@ -278,13 +285,17 @@ def _cmd_pdf_grid(args) -> int:
     if not 1 <= res <= MAX_RESOLUTION:
         raise InvalidDistributionError(f"--resolution must be from 1 to {MAX_RESOLUTION}")
     axis = (np.arange(res) + 0.5) / res
-    uu, vv = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([uu.ravel(), vv.ravel()])
-    dens = pdf(c, pts)
+    rows = max(1, _GRID_BLOCK_POINTS // res)
     with _output(args.out) as fh:
         print(f"# pdf-grid resolution={res} p={_fmt_p(c.p)}", file=fh)
         print("u,v,density", file=fh)
-        _write_rows(fh, [10, 10, 12], np.column_stack([pts, dens]))
+        for start in range(0, res, rows):
+            u = axis[start : start + rows]
+            table = np.empty((u.size * res, 3))
+            table[:, 0] = np.repeat(u, res)
+            table[:, 1] = np.tile(axis, u.size)
+            table[:, 2] = pdf(c, table[:, :2])
+            _write_rows(fh, [10, 10, 12], table)
     return 0
 
 
@@ -387,82 +398,105 @@ def _cmd_order_check(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _eval_args(p):
+    _add_copula_args(p)
+    p.add_argument("-u", action="append", required=True, help="point, e.g. 0.3,0.4")
+    p.add_argument("--natural", action="store_true", help="use the polynomial form")
+    p.add_argument("--verify", action="store_true", help="cross-check both forms")
+
+
+def _pdf_grid_args(p):
+    _add_copula_args(p)
+    p.add_argument(
+        "--resolution", type=int, default=64,
+        help=f"grid points per axis, 1 to {MAX_RESOLUTION}",
+    )
+
+
+def _measures_args(p):
+    _add_copula_args(p)
+    p.add_argument(
+        "--method",
+        choices=("closed_form", "quadrature", "monte_carlo"),
+        default="closed_form",
+    )
+    p.add_argument(
+        "--nodes", type=int, default=96,
+        help=f"quadrature nodes per axis, 64 to {association._MAX_NODES}",
+    )
+    p.add_argument("--n", type=int, default=100000, help="Monte Carlo sample size")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--verify", action="store_true", help="closed form vs quadrature")
+
+
+def _tables_args(p):
+    p.add_argument(
+        "--which",
+        required=True,
+        choices=("rhoL-max", "rhoU-max", "rhoC-max", "tau-max", "rhoL-min", "rhoU-min"),
+    )
+    p.add_argument("--precision", type=int, default=4)
+
+
+def _sample_args(p):
+    _add_copula_args(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+
+
+def _extremals_args(p):
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--d", type=int, required=True)
+
+
+def _order_check_args(p):
+    p.add_argument("--spec1", required=True)
+    p.add_argument("--spec2", required=True)
+
+
+# name -> (help, function adding the command's arguments but --out, handler),
+# in the order ``gfgm -h`` lists them
+_COMMANDS = {
+    "eval": ("evaluate the copula cdf at points", _eval_args, _cmd_eval),
+    "pdf-grid": ("density on a uniform grid (d=2)", _pdf_grid_args, _cmd_pdf_grid),
+    "measures": ("association measures report", _measures_args, _cmd_measures),
+    "tables": ("maximal/minimal measure grids", _tables_args, _cmd_tables),
+    "sample": ("draw seeded copula samples", _sample_args, _cmd_sample),
+    "extremals": ("extremal exchangeable count pmfs", _extremals_args, _cmd_extremals),
+    "order-check": ("exact concordance order of two copulas", _order_check_args, _cmd_order_check),
+}
+
+
+def _build_parser(names) -> argparse.ArgumentParser:
+    """The parser with the subparsers of ``names`` only.
+
+    Each argument costs argparse a translation lookup and a terminal-width
+    probe, so building all seven takes several times what ``tables``
+    computes.  With one subparser the usage line keeps all seven names
+    through ``metavar``; the full parser sets none, so its "invalid choice"
+    error still names the argument ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="gfgm",
         description="Bernoulli-driven generalized FGM copulas: evaluation, "
         "sampling, association measures, ordering checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate the copula cdf at points")
-    _add_copula_args(p_eval)
-    p_eval.add_argument("-u", action="append", required=True, help="point, e.g. 0.3,0.4")
-    p_eval.add_argument("--natural", action="store_true", help="use the polynomial form")
-    p_eval.add_argument("--verify", action="store_true", help="cross-check both forms")
-    p_eval.add_argument("--out")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_grid = sub.add_parser("pdf-grid", help="density on a uniform grid (d=2)")
-    _add_copula_args(p_grid)
-    p_grid.add_argument(
-        "--resolution", type=int, default=64,
-        help=f"grid points per axis, 1 to {MAX_RESOLUTION}",
-    )
-    p_grid.add_argument("--out")
-    p_grid.set_defaults(func=_cmd_pdf_grid)
-
-    p_meas = sub.add_parser("measures", help="association measures report")
-    _add_copula_args(p_meas)
-    p_meas.add_argument(
-        "--method",
-        choices=("closed_form", "quadrature", "monte_carlo"),
-        default="closed_form",
-    )
-    p_meas.add_argument(
-        "--nodes", type=int, default=96,
-        help=f"quadrature nodes per axis, 64 to {association._MAX_NODES}",
-    )
-    p_meas.add_argument("--n", type=int, default=100000, help="Monte Carlo sample size")
-    p_meas.add_argument("--seed", type=int, default=0)
-    p_meas.add_argument("--verify", action="store_true", help="closed form vs quadrature")
-    p_meas.add_argument("--out")
-    p_meas.set_defaults(func=_cmd_measures)
-
-    p_tab = sub.add_parser("tables", help="maximal/minimal measure grids")
-    p_tab.add_argument(
-        "--which",
-        required=True,
-        choices=("rhoL-max", "rhoU-max", "rhoC-max", "tau-max", "rhoL-min", "rhoU-min"),
-    )
-    p_tab.add_argument("--precision", type=int, default=4)
-    p_tab.add_argument("--out")
-    p_tab.set_defaults(func=_cmd_tables)
-
-    p_samp = sub.add_parser("sample", help="draw seeded copula samples")
-    _add_copula_args(p_samp)
-    p_samp.add_argument("--n", type=int, required=True)
-    p_samp.add_argument("--seed", type=int, required=True)
-    p_samp.add_argument("--out")
-    p_samp.set_defaults(func=_cmd_sample)
-
-    p_ext = sub.add_parser("extremals", help="extremal exchangeable count pmfs")
-    p_ext.add_argument("--p", type=float, required=True)
-    p_ext.add_argument("--d", type=int, required=True)
-    p_ext.add_argument("--out")
-    p_ext.set_defaults(func=_cmd_extremals)
-
-    p_ord = sub.add_parser("order-check", help="exact concordance order of two copulas")
-    p_ord.add_argument("--spec1", required=True)
-    p_ord.add_argument("--spec2", required=True)
-    p_ord.add_argument("--out")
-    p_ord.set_defaults(func=_cmd_order_check)
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_args, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.add_argument("--out")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    names = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
+    args = _build_parser(names).parse_args(argv)
     try:
         return args.func(args)
     except OracleDisagreement as exc:

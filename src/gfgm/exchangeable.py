@@ -424,10 +424,9 @@ def parse_exchangeable_spec(text: str, d: int | None = None) -> ExchangeableCoun
     if args is None or arity not in (None, len(args)):
         raise InvalidDistributionError(f"malformed exchangeable spec {text!r}: expected {form}")
     if kind == "counts":
-        cp = ExchangeableCountPmf(len(args) - 1, np.array(args))
-        if d is not None and cp.d != d:
-            raise InvalidDistributionError(f"counts imply d={cp.d}, but d={d} given")
-        return cp
+        if d is not None and len(args) - 1 != d:
+            raise InvalidDistributionError(f"counts imply d={len(args) - 1}, but d={d} given")
+        return ExchangeableCountPmf(len(args) - 1, np.array(args))
     if d is None:
         raise InvalidDistributionError(f"exchangeable spec {kind!r} needs the dimension d")
     if kind == "beta":

@@ -1,6 +1,9 @@
 """Command-line surface: spec files, CSV outputs, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from gfgm import association, cdf_epd, cli, sampling
 from gfgm.cli import main
+from gfgm.copula import NATURAL_FORM_MAX_D
 
 
 def _run(capsys, argv):
@@ -49,6 +53,28 @@ class TestEval:
         else:
             assert code == 2 and out == ""
             assert "d <= 1029" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("d", [NATURAL_FORM_MAX_D, NATURAL_FORM_MAX_D + 1])
+    @pytest.mark.parametrize("spec", ["exchangeable", "p", "pmf-file"])
+    @pytest.mark.parametrize("flag", ["--natural", "--verify"])
+    def test_natural_form_dimension_limit(self, capsys, tmp_path, flag, spec, d):
+        # the natural form sums 2^d coefficients, so it stops at d = 16 for every law
+        if spec == "exchangeable":
+            args = ["--d", str(d), "--exchangeable", "end:0.4"]
+        elif spec == "p":
+            args = ["--p", ",".join(["0.3"] * d)]
+        else:
+            pmf = tmp_path / "pmf.txt"
+            pmf.write_text(f"d={d}\n{'0' * d},0.5\n{'1' * d},0.2\n1{'0' * (d - 1)},0.3\n")
+            args = ["--pmf-file", str(pmf)]
+        argv = ["eval", *args, "-u", ",".join(["0.6"] * d)]
+        code, out, err = _run(capsys, argv + [flag])
+        if d == NATURAL_FORM_MAX_D:
+            assert code == 0
+            assert float(out) == pytest.approx(float(_run(capsys, argv)[1]), abs=1e-12)
+        else:
+            assert code == 2 and out == ""
+            assert f"d <= {NATURAL_FORM_MAX_D} required" in err
 
     @pytest.mark.parametrize("p", ["1e-13", "0.9999999999999"])
     def test_margin_outside_the_domain(self, capsys, p):
@@ -400,6 +426,29 @@ class TestPdfGrid:
         assert f"--resolution must be from 1 to {cli.MAX_RESOLUTION}" in err
         assert peak <= 1_000_000
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_memory_at_the_resolution_cap(self):
+        # the whole 2048^2 grid at once peaked at 288 MB resident; a block of
+        # grid rows at a time stays near the interpreter's own 30-40 MB.
+        # VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a
+        # child of a large test process would report the parent's size.
+        code = (
+            "import os, sys\n"
+            "from gfgm.cli import main\n"
+            "argv = ['pdf-grid', '--p', '0.4,0.6', '--theta', '0.5', '--resolution', sys.argv[1]]\n"
+            "assert main(argv + ['--out', os.devnull]) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(cli.MAX_RESOLUTION)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert int(run.stdout) <= 80 * 1024  # KiB
+
     @pytest.mark.parametrize("res", ["0", "-2"])
     def test_rejects_empty_grid(self, capsys, res):
         code, out, err = _run(capsys, ["pdf-grid", "--p", "0.5,0.5", "--resolution", res])
@@ -519,6 +568,13 @@ class TestSpecParsing:
         code, out, _ = _run(capsys, ["eval", "--spec", spec, "-u", "0.5,0.5"])
         assert code == 0
         assert float(out) == pytest.approx(0.25)  # binomial counts = independence
+
+    def test_counts_dimension_conflict_is_named(self, capsys):
+        # two masses imply d = 1, which the count law itself would reject first
+        argv = ["eval", "--d", "2", "--exchangeable", "counts:0.5,0.5", "-u", "0.2,0.3"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: counts imply d=1, but d=2 given\n"
 
 
 def _pmf30_text():

@@ -45,15 +45,13 @@ from .bernoulli import (
     BernoulliPmf,
     IndependenceLaw,
     InvalidDistributionError,
-    _check_dense_dim,
     _end_support,
-    _popcount,
-    _subset_products,
-    complemented,
-    pmf_to_moments,
     validate_margin,
 )
-from .copula import GfgmCopula, _cdf_factors, _pdf_factors
+from .copula import SHAPE_ATOL, GfgmCopula, _cdf_factors, _pdf_factors
+
+#: Largest d of the association measures: 2.0**d overflows a float from d = 1024.
+MEASURES_MAX_D = 1023
 
 __all__ = [
     "AssociationReport",
@@ -75,8 +73,8 @@ def _prefactor(d: int) -> float:
     """(d+1)/(2^d-d-1); each closed form calls it before any other 2^d."""
     if d < 2:
         raise InvalidDistributionError("association measures need d >= 2")
-    if d > 1023:  # 2.0**d overflows a float from d = 1024
-        raise InvalidDistributionError("association measures need d <= 1023")
+    if d > MEASURES_MAX_D:
+        raise InvalidDistributionError(f"association measures need d <= {MEASURES_MAX_D}")
     return (d + 1) / (2.0**d - d - 1.0)
 
 
@@ -350,45 +348,6 @@ class ConcordanceResult:
         return "incomparable"
 
 
-def _dense_moments(law) -> np.ndarray:
-    """Rows mu and lambda of a law over the 2^d subset masks (d <= 20).
-
-    mu_S = E[prod_{j in S} I_j] and lambda_S = E[prod_{j in S} (1 - I_j)].
-    A count law's rows are its per-size rows broadcast by popcount.
-    """
-    if isinstance(law, BernoulliPmf):
-        return np.stack([pmf_to_moments(law), pmf_to_moments(complemented(law))])
-    if isinstance(law, IndependenceLaw):  # subset products of (1, p_j), (1, 1 - p_j)
-        p = law.p
-        return _subset_products(np.stack([np.ones((law.d, 2)), np.stack([p, 1.0 - p], 1)], 1)).T
-    return _size_moments(law)[0][:, _popcount(np.arange(1 << law.d))]
-
-
-def _size_moments(law) -> tuple[np.ndarray, np.ndarray]:
-    """Largest and smallest mu_S and lambda_S over the subsets of each size k = 0..d.
-
-    Each is a (2, d + 1) array, rows mu and lambda.  For a product law they
-    are the products of its k largest and of its k smallest margins (of
-    1 - p for lambda).  A count law's moments depend on |S| only: it forms
-    mu_k = sum_j q_j C(j, k) / C(d, k) (lambda_k over d - j) with the ratio
-    as the running product prod_{i<k} (j-i)/(d-i), which lies in [0, 1]:
-    O(d^2) time, O(d) memory and no binomial coefficient.
-    """
-    d = law.d
-    if isinstance(law, IndependenceLaw):
-        s = np.sort(law.p)
-        largest = np.stack([s[::-1], 1.0 - s])  # descending p, descending 1 - p
-        ones = np.ones((2, 1))
-        return (np.cumprod(np.hstack([ones, largest]), axis=1),
-                np.cumprod(np.hstack([ones, largest[:, ::-1]]), axis=1))
-    counts = np.stack([np.arange(d + 1.0), d - np.arange(d + 1.0)])
-    ratio, out = np.ones_like(counts), np.ones((2, d + 1))
-    for k in range(1, d + 1):
-        ratio *= (counts - (k - 1)) / (d - (k - 1))
-        out[:, k] = ratio @ law.q
-    return out, out
-
-
 def check_concordance(
     c1: GfgmCopula, c2: GfgmCopula, grid_points_per_axis=None
 ) -> ConcordanceResult:
@@ -437,7 +396,7 @@ def check_concordance(
     """
     if c1.d != c2.d:
         raise InvalidDistributionError("copulas must share the dimension")
-    if np.max(np.abs(c1.p - c2.p)) > 1e-10:
+    if np.max(np.abs(c1.p - c2.p)) > SHAPE_ATOL:
         raise InvalidDistributionError(
             "copulas with different shape vectors are not dependence-comparable"
         )
@@ -446,10 +405,9 @@ def check_concordance(
     if all(isinstance(law, IndependenceLaw) for law in laws):
         bounds = [2 * (np.stack([law.p, 1.0 - law.p]),) for law in laws]
     elif any(isinstance(law, BernoulliPmf) for law in laws):
-        _check_dense_dim(c1.d)
-        bounds = [2 * (_dense_moments(law),) for law in laws]
+        bounds = [2 * (np.stack([law.moments(), law.moments(flipped=True)]),) for law in laws]
     else:
-        bounds = [_size_moments(law) for law in laws]
+        bounds = [law.size_moments for law in laws]
     (hi1, lo1), (hi2, lo2) = bounds
     forward, backward = (np.all(a <= b + _MOMENT_SLACK, axis=1) for a, b in ((hi1, lo2), (hi2, lo1)))
     return ConcordanceResult(*map(bool, (forward[0], backward[0], forward[1], backward[1])))

@@ -26,7 +26,10 @@ margins when the law is exchangeable),
     E[prod_m h_m(I_m, I'_m)] = sum_r w_r E[prod_m ((1-r_m) h_m(I_m, 0) + r_m h_m(I_m, 1))]
 
 (the 0/1 atom rows, a "first k on" row per supported count, or the single
-margin row of a product law); and ``as_atoms()``, its atom form.  Three
+margin row of a product law); ``moments()``, mu_S = E[prod_{j in S} I_j]
+over the 2^d subset masks S, or with ``flipped`` lambda_S, those of 1 - I
+(count and product laws add ``size_moments``, their extremes per size |S|);
+and ``as_atoms()``, its atom form.  Three
 laws exist: ``BernoulliPmf`` (atoms), ``IndependenceLaw`` (a product of
 Bernoulli(p_j)) and, in ``gfgm.exchangeable``, ``ExchangeableCountPmf``
 (the law of the count).
@@ -270,6 +273,13 @@ class BernoulliPmf(_Law):
     def as_atoms(self) -> "BernoulliPmf":
         return self
 
+    def moments(self, flipped: bool = False) -> np.ndarray:
+        """Superset sums of the dense table by mask; 1 - I (``flipped``) has it reversed."""
+        _check_dense_dim(self.d)
+        table = np.zeros(1 << self.d)
+        table[self.masks] = self.probs
+        return _subset_sums(table[::-1] if flipped else table, self.d, superset=True, sign=1.0)
+
     def prob(self, mask: int) -> float:
         i = np.searchsorted(self.masks, mask)
         if i < self.masks.size and self.masks[i] == mask:
@@ -372,6 +382,20 @@ class IndependenceLaw(_Law):
 
     def _contract(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
         return np.prod((1.0 - self.p) * f0 + self.p * f1, axis=1)
+
+    def moments(self, flipped: bool = False) -> np.ndarray:
+        """mu_S = prod_{j in S} p_j, or lambda_S with 1 - p_j when ``flipped``."""
+        _check_dense_dim(self.d)
+        q = 1.0 - self.p if flipped else self.p
+        return _subset_products(np.stack([np.ones(self.d), q], axis=1)[:, :, None]).ravel()
+
+    @property
+    def size_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Largest and smallest (mu, lambda) per size k: products of the k largest, smallest p (1 - p)."""
+        s = np.sort(self.p)
+        rows = np.ones((2, 2, self.d + 1))  # (largest, smallest) x (mu, lambda) x size
+        rows[:, :, 1:] = [[s[::-1], 1.0 - s], [s, 1.0 - s[::-1]]]
+        return tuple(np.cumprod(rows, axis=2))
 
     def as_atoms(self) -> BernoulliPmf:
         _check_atom_form(self.d)
@@ -490,14 +514,6 @@ def _check_dense_dim(d: int):
         )
 
 
-def dense_pmf(pmf: BernoulliPmf) -> np.ndarray:
-    """Probabilities as a dense length-2^d vector indexed by outcome mask."""
-    _check_dense_dim(pmf.d)
-    f = np.zeros(1 << pmf.d)
-    f[pmf.masks] = pmf.probs
-    return f
-
-
 def _subset_sums(values: np.ndarray, d: int, superset: bool, sign: float) -> np.ndarray:
     """Zeta (sign +1) or Mobius (sign -1) transform over the subset lattice.
 
@@ -513,13 +529,11 @@ def _subset_sums(values: np.ndarray, d: int, superset: bool, sign: float) -> np.
 
 
 def pmf_to_moments(pmf: BernoulliPmf) -> np.ndarray:
-    """Ordinary moments mu_S = E[prod_{j in S} I_j] for every subset mask S.
+    """Ordinary moments mu_S = E[prod_{j in S} I_j], dense over subset masks S.
 
-    Returned as a dense length-2^d array indexed by subset mask; entry 0 is
-    the empty product, 1.  mu_S equals the probability that all components
-    in S are 1, i.e. a superset sum of the pmf.
+    Entry 0 is the empty product, 1; see :meth:`BernoulliPmf.moments`.
     """
-    return _subset_sums(dense_pmf(pmf), pmf.d, superset=True, sign=1.0)
+    return pmf.moments()
 
 
 def moments_to_pmf(moments: np.ndarray) -> BernoulliPmf:
@@ -543,16 +557,15 @@ def moments_to_pmf(moments: np.ndarray) -> BernoulliPmf:
     return BernoulliPmf(d, masks, f[masks])
 
 
-def nu_all(pmf: BernoulliPmf) -> np.ndarray:
-    """All centered coefficients nu_S, dense over subset masks.
+def nu_all(law) -> np.ndarray:
+    """All centered coefficients nu_S of any law of I, dense over subset masks.
 
     nu_S = E[prod_{j in S}(I_j - p_j)/p_j]; entry 0 is 1, singletons are ~0.
-    Computed from ordinary moments by rescaling and a signed subset Mobius
-    transform, O(d 2^d).
+    Computed from the law's moments mu_S (not lambda_S), divided by those of
+    independent margins, by a signed subset Mobius transform, O(d 2^d).
     """
-    p = marginals(pmf)
-    pprod = _subset_products(np.stack([np.ones(pmf.d), p], axis=1)[:, :, None]).ravel()
-    return _subset_sums(pmf_to_moments(pmf) / pprod, pmf.d, superset=False, sign=-1.0)
+    mu = law.moments() / IndependenceLaw(law.margins).moments()
+    return _subset_sums(mu, law.d, superset=False, sign=-1.0)
 
 
 # ---------------------------------------------------------------------------

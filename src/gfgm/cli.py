@@ -49,6 +49,8 @@ _FIXED_LO, _FIXED_HI = 1e-5, 1e17  # the values _format_g can write in fixed not
 _TEXT_BYTES = 22
 #: Most ``pdf-grid`` points per axis; the check comes before anything is allocated.
 MAX_RESOLUTION = 2048
+#: Most ``tables`` decimal places: no double has more fractional digits than 2^-1074.
+MAX_PRECISION = 1074
 # ``pdf-grid`` evaluates and writes about this many grid points at a time,
 # in whole grid rows: a table of about 1.5 MB at any resolution, and one
 # block for grids of up to 256 points per axis.
@@ -349,8 +351,8 @@ def _cmd_tables(args) -> int:
         ds = MIN_TABLE_DS
         idx = {"rhoL-min": 0, "rhoU-min": 1}[which]
         cell = lambda p, d: association.min_measures_exchangeable(p, d)[idx]
-    if args.precision < 0:
-        raise InvalidDistributionError("--precision must be non-negative")
+    if not 0 <= args.precision <= MAX_PRECISION:
+        raise InvalidDistributionError(f"--precision must be from 0 to {MAX_PRECISION}")
     table = np.array([[p] + [cell(p, d) for d in ds] for p in TABLE_PS])
     with _output(args.out) as fh:
         print(f"# table {which}", file=fh)

@@ -55,6 +55,8 @@ from .bernoulli import (
 )
 
 NATURAL_FORM_MAX_D = 16
+#: Most a given shape vector may differ from the law's margins, componentwise.
+SHAPE_ATOL = 1e-10
 
 __all__ = [
     "GfgmCopula",
@@ -94,7 +96,7 @@ class GfgmCopula:
 
     ``law`` is a :class:`BernoulliPmf`, an :class:`IndependenceLaw` or an
     ``ExchangeableCountPmf``.  ``p`` defaults to the law's margins; if given
-    explicitly it must match them to within 1e-10 componentwise.
+    explicitly it must match them to within ``SHAPE_ATOL`` = 1e-10 componentwise.
     """
 
     law: object
@@ -110,9 +112,9 @@ class GfgmCopula:
             p = validate_margins(self.p)
             if p.size != self.law.d:
                 raise InvalidDistributionError("shape vector length must equal pmf dimension")
-            if np.max(np.abs(p - derived)) > 1e-10:
+            if np.max(np.abs(p - derived)) > SHAPE_ATOL:
                 raise InvalidDistributionError(
-                    "shape vector disagrees with pmf margins beyond 1e-10"
+                    f"shape vector disagrees with pmf margins beyond {SHAPE_ATOL:g}"
                 )
         object.__setattr__(self, "p", p)
 
@@ -122,11 +124,10 @@ class GfgmCopula:
 
     @cached_property
     def bernoulli(self) -> BernoulliPmf:
-        """The law as atoms, which sampling and the exponential oracles read.
+        """The law as atoms, which only sampling reads; the rest reads the law itself.
 
         An atom law is its own; count and independence laws are expanded on
-        first use, which needs d <= 20.  Evaluation, the measures and the
-        d = 2 quadrature oracle contract the law itself.
+        first use, which needs d <= 20.
         """
         return self.law.as_atoms()
 
@@ -204,7 +205,7 @@ def cdf_natural(c: GfgmCopula, u):
             f"natural form is exponential in d; d <= {NATURAL_FORM_MAX_D} required"
         )
     pts, single = _as_points(u, c.d)
-    nu = nu_all(c.bernoulli)
+    nu = nu_all(c.law)
     w = 1.0 - _pow_log(pts, (c.p / (1.0 - c.p))[None, :])  # 1 - u^{p/(1-p)}
     # (n, 2^d) subset products of w, one (1, w_j) factor pair per margin
     terms = _subset_products(np.stack([np.ones_like(w), w], axis=-1)[..., None])[..., 0]
@@ -233,7 +234,7 @@ def survival_by_cdf(c: GfgmCopula, u):
     that cross-checks :func:`survival`.
     """
     if c.d > NATURAL_FORM_MAX_D:
-        raise InvalidDistributionError("inclusion-exclusion survival needs d <= 16")
+        raise InvalidDistributionError(f"inclusion-exclusion survival needs d <= {NATURAL_FORM_MAX_D}")
     pts, single = _as_points(u, c.d)
     out = np.zeros(pts.shape[0])
     for mask in range(1 << c.d):

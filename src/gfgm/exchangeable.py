@@ -6,7 +6,7 @@ That O(d) representation is the primary object here, and a law a copula
 evaluates through directly: the weight-class sums of its contraction give
 the cdf, density, survival function and association measures without
 touching 2^d outcomes.  Expansion to atom form is gated to d <= 20 and is
-needed only for sampling and the exponential oracles.
+needed only for sampling.
 
 The module also covers the geometry of the exchangeable class for a fixed
 margin p: its extremal count pmfs (two-point laws straddling pd, plus the
@@ -41,6 +41,9 @@ from .bernoulli import (
     validate_margin,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
+
+#: Largest d of a count law's evaluation: C(1030, 515) overflows a float.
+COUNT_LAW_MAX_D = 1029
 
 __all__ = [
     "ExchangeableCountPmf",
@@ -97,9 +100,10 @@ class ExchangeableCountPmf(_Law):
     @cached_property
     def _outcome_mass(self) -> np.ndarray:
         """q_k / C(d, k): the mass of each single outcome of weight k."""
-        if self.d > 1029:  # C(1030, 515) overflows a float
+        if self.d > COUNT_LAW_MAX_D:
             raise InvalidDistributionError(
-                f"count-law evaluation needs d <= 1029, where C(d, k) fits a float; got d={self.d}"
+                f"count-law evaluation needs d <= {COUNT_LAW_MAX_D}, where C(d, k) fits a float; "
+                f"got d={self.d}"
             )
         return self.q / np.array([math.comb(self.d, k) for k in range(self.d + 1)], dtype=float)
 
@@ -113,6 +117,26 @@ class ExchangeableCountPmf(_Law):
         """
         support = np.flatnonzero(self.q)
         return (np.arange(self.d) < support[:, None]).astype(float), self.q[support]
+
+    @cached_property
+    def size_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, lambda) of each size |S| = k = 0..d, as both the largest and the smallest.
+
+        mu_k = sum_j q_j C(j, k) / C(d, k) (lambda_k over d - j), each ratio a
+        running product prod_{i<k} (j-i)/(d-i) in [0, 1]: O(d^2), no C(d, k).
+        """
+        d = self.d
+        counts = np.stack([np.arange(d + 1.0), d - np.arange(d + 1.0)])
+        ratio, out = np.ones_like(counts), np.ones((2, d + 1))
+        for k in range(1, d + 1):
+            ratio *= (counts - (k - 1)) / (d - (k - 1))
+            out[:, k] = ratio @ self.q
+        return out, out
+
+    def moments(self, flipped: bool = False) -> np.ndarray:
+        """mu_S, or lambda_S when ``flipped``: the size rows broadcast by popcount."""
+        _check_dense_dim(self.d)
+        return self.size_moments[0][int(flipped)][_popcount(np.arange(1 << self.d))]
 
     def as_atoms(self) -> BernoulliPmf:
         _check_atom_form(self.d)

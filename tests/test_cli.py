@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfgm import association, cdf_epd, cli, sampling
-from gfgm.cli import main
+from gfgm import ExchangeableCountPmf, association, cdf_epd, cli, sampling
+from gfgm.bernoulli import IndependenceLaw
+from gfgm.cli import MAX_PRECISION, main
 from gfgm.copula import NATURAL_FORM_MAX_D
 
 
@@ -57,8 +58,11 @@ class TestEval:
     @pytest.mark.parametrize("d", [NATURAL_FORM_MAX_D, NATURAL_FORM_MAX_D + 1])
     @pytest.mark.parametrize("spec", ["exchangeable", "p", "pmf-file"])
     @pytest.mark.parametrize("flag", ["--natural", "--verify"])
-    def test_natural_form_dimension_limit(self, capsys, tmp_path, flag, spec, d):
-        # the natural form sums 2^d coefficients, so it stops at d = 16 for every law
+    def test_natural_form_dimension_limit(self, capsys, monkeypatch, tmp_path, flag, spec, d):
+        # the natural form sums 2^d coefficients, so it stops at d = 16 for every law;
+        # it reads the law's moments, so count and product laws are never expanded
+        for law in (ExchangeableCountPmf, IndependenceLaw):
+            monkeypatch.setattr(law, "as_atoms", lambda self: pytest.fail("expanded to atoms"))
         if spec == "exchangeable":
             args = ["--d", str(d), "--exchangeable", "end:0.4"]
         elif spec == "p":
@@ -224,6 +228,23 @@ class TestTables:
         assert code == 2
         assert "precision" in err
         assert not out.exists() and stdout == ""
+
+    @pytest.mark.parametrize("precision", [1074, 1075])
+    def test_precision_cap(self, tmp_path, capsys, precision):
+        # no double has more than 1074 fractional digits; above that only zeros would follow
+        assert MAX_PRECISION == 1074
+        out = tmp_path / "table.csv"
+        argv = ["tables", "--which", "rhoL-min", "--precision", str(precision), "--out", str(out)]
+        code, stdout, err = _run(capsys, argv)
+        if precision == MAX_PRECISION:
+            assert code == 0
+            rows = _read_csv(out)
+            assert all(len(cell.split(".")[1]) == MAX_PRECISION for cell in rows[1][1:])
+            want = association.min_measures_exchangeable(0.1, 2)[0]
+            assert rows[1][1] == f"%.{MAX_PRECISION}f" % want
+        else:
+            assert code == 2 and stdout == "" and not out.exists()
+            assert f"--precision must be from 0 to {MAX_PRECISION}" in err
 
 
 class TestMeasures:

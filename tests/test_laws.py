@@ -20,7 +20,9 @@ from gfgm import (
     build_copula,
     cdf,
     cdf_epd,
+    cdf_natural,
     comonotone_count_pmf,
+    complemented,
     end_count_pmf,
     expand,
     independent,
@@ -29,10 +31,13 @@ from gfgm import (
     mixture_copula_cdf,
     mixture_count_pmf,
     pdf,
+    pmf_to_moments,
     sample,
     survival,
 )
 from gfgm.bernoulli import BernoulliPmf, IndependenceLaw, _Law
+
+from conftest import random_exchangeable_count, random_sparse_pmf
 
 MEASURES = ("rho_cL", "rho_cU", "rho_c", "tau")
 
@@ -173,7 +178,58 @@ def test_chunk_seams_keep_their_bits(name):
 @pytest.mark.parametrize("law", [BernoulliPmf, IndependenceLaw, ExchangeableCountPmf])
 def test_laws_share_one_chunk_loop(law):
     # a law supplies its chunk size and one chunk's contraction; the loop is _Law's
-    for name in ("_chunk", "_contract", "margins", "outcomes", "as_atoms"):
+    for name in ("_chunk", "_contract", "margins", "outcomes", "moments", "as_atoms"):
         assert name in vars(law), name
+    # count and product laws also bound their moments per subset size; atoms go dense
+    assert ("size_moments" in vars(law)) == (law is not BernoulliPmf)
     for name in ("_expect_chunks", "expect_products"):
         assert name not in vars(law) and getattr(law, name) is getattr(_Law, name), name
+
+
+def _moment_laws(rng, d):
+    for _ in range(3):
+        yield random_exchangeable_count(rng, d)
+        yield IndependenceLaw(rng.uniform(0.05, 0.95, size=d))
+        yield random_sparse_pmf(rng, d)
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 14])
+def test_moments_match_the_atom_route(d):
+    # mu and lambda of each law against the superset sums of its atoms and of
+    # their complement; the per-size bounds against the dense rows by |S|
+    rng = np.random.default_rng(1800 + d)
+    sizes = gfgm.bernoulli._popcount(np.arange(1 << d))
+    for law in _moment_laws(rng, d):
+        atoms = law.as_atoms()
+        dense = np.stack([law.moments(), law.moments(flipped=True)])
+        np.testing.assert_allclose(dense[0], pmf_to_moments(atoms), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dense[1], pmf_to_moments(complemented(atoms)), rtol=0, atol=1e-15)
+        if isinstance(law, BernoulliPmf):
+            continue
+        largest, smallest = law.size_moments
+        for k in range(d + 1):
+            np.testing.assert_allclose(largest[:, k], dense[:, sizes == k].max(axis=1), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(smallest[:, k], dense[:, sizes == k].min(axis=1), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 8, 16])
+@pytest.mark.parametrize("kind", ["count", "independence"])
+def test_natural_form_reads_the_law(monkeypatch, kind, d):
+    # nu comes from the law's own moments: no 2^d atom expansion
+    rng = np.random.default_rng(1900 + d)
+    if kind == "count":
+        law = random_exchangeable_count(rng, d)
+    else:
+        law = IndependenceLaw(rng.uniform(0.05, 0.95, size=d))
+    pts = rng.uniform(0.3, 1.0, size=(6, d))
+    pts[0, 0], pts[1, -1] = 0.0, 1.0
+    want = cdf_natural(GfgmCopula(law.as_atoms()), pts)
+
+    def refuse(self):
+        raise AssertionError("expanded to atoms")
+
+    monkeypatch.setattr(type(law), "as_atoms", refuse)
+    c = GfgmCopula(law)
+    got = cdf_natural(c, pts)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got, cdf(c, pts), rtol=0, atol=1e-12)

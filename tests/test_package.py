@@ -73,6 +73,58 @@ def test_no_production_module_imports_reference():
             assert not _imports_reference(module), module.name
 
 
+def _atom_form_reads(tree, inside=None):
+    """Reads of ``.bernoulli`` and calls of ``as_atoms()`` outside their own definitions."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            found += _atom_form_reads(node, node.name)
+            continue
+        if inside not in ("bernoulli", "as_atoms"):
+            if isinstance(node, ast.Attribute) and node.attr == "bernoulli":
+                found.append(node.lineno)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "as_atoms":
+                found.append(node.lineno)
+        found += _atom_form_reads(node, inside)
+    return found
+
+
+def test_only_sampling_reads_the_atom_form():
+    # everything else contracts the law or reads its moments
+    package = pathlib.Path(gfgm.__file__).parent
+    readers = {
+        module.stem
+        for module in package.glob("*.py")
+        if _atom_form_reads(ast.parse(module.read_text(), filename=str(module)))
+    }
+    assert readers == {"sampling"}
+
+
+def test_readme_limits_table_states_the_constants():
+    from gfgm.association import MEASURES_MAX_D
+    from gfgm.bernoulli import MAX_DENSE_DIMENSION, MAX_DIMENSION
+    from gfgm.copula import NATURAL_FORM_MAX_D, SHAPE_ATOL
+    from gfgm.exchangeable import COUNT_LAW_MAX_D
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {
+        line.split("|")[1].strip(): [cell.strip() for cell in line.split("|")[3:-1]]
+        for line in readme.splitlines()
+        if line.startswith("| `--")
+    }
+    # columns: measures, eval, eval --natural / --verify, sample, order-check
+    assert rows["`--pmf-file` / `pmf_file=`"] == [
+        f"`d ≤ {MAX_DIMENSION}`", f"`d ≤ {MAX_DIMENSION}`", f"`d ≤ {NATURAL_FORM_MAX_D}`",
+        f"`d ≤ {MAX_DIMENSION}`", f"`d ≤ {MAX_DENSE_DIMENSION}`",
+    ]
+    count, product = rows["`--exchangeable`"], rows["`--p` alone"]
+    assert count[0] == product[0] == f"`d ≤ {MEASURES_MAX_D}`"
+    assert count[1].endswith(f"`≤ {COUNT_LAW_MAX_D}`")
+    assert count[2] == product[2] == f"`d ≤ {NATURAL_FORM_MAX_D}`"
+    assert count[3] == product[3] == f"`d ≤ {MAX_DENSE_DIMENSION}`"
+    assert f"within `{SHAPE_ATOL:g}` (`SHAPE_ATOL`)" in readme
+
+
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
 def test_reference_forms_live_in_reference(name):
     assert getattr(gfgm, name) is getattr(gfgm.reference, name)

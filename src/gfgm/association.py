@@ -12,8 +12,8 @@ Four measures are computed in closed form for any copula of the family:
 Because the copula is an expectation, under the law of the Bernoulli vector
 I, of products of per-margin pieces, each defining integral factorizes: the
 orthant integrals reduce to one contraction through the law and tau to a
-double expectation, over the law's density-side outcome rows and then
-through the law, with the per-margin kernel
+double expectation over two independent copies I, I' of the Bernoulli
+vector (the law's ``pair_sum``), with the per-margin kernel
 
     G(i, j) = 1/2 - (i + j)/(2 p) + (j (1-p) + i)/(p (2-p)),
 
@@ -112,15 +112,10 @@ def rho_c(c: GfgmCopula) -> float:
     return 0.5 * (lo + up)
 
 
-def _orthant_rows(c: GfgmCopula) -> np.ndarray:
-    """(kernel, side, m) factor rows of rho_cL (kernel 0) and rho_cU (kernel 1)."""
-    return np.reshape(_orthant_kernels(c.p), (2, 2, -1)) * np.ones(c.d)
-
-
 def _rhos(c: GfgmCopula) -> np.ndarray:
     """(rho_cL, rho_cU) from one two-row orthant contraction through the law."""
     pref = _prefactor(c.d)
-    orthant = _orthant_rows(c)
+    orthant = np.reshape(_orthant_kernels(c.p), (2, 2, -1)) * np.ones(c.d)  # (kernel, side, m)
     return pref * (c.law.expect_products(orthant[:, 0], orthant[:, 1]) - 1.0)
 
 
@@ -136,29 +131,30 @@ def _tau_kernel(p):
 
 
 def tau(c: GfgmCopula) -> float:
-    """Multivariate Kendall's tau, from the one contraction of :func:`measures`."""
+    """Multivariate Kendall's tau, from the pair sum of :func:`measures`."""
     return measures(c).tau
 
 
 def measures(c: GfgmCopula) -> AssociationReport:
-    """All four measures from one contraction through the law.
+    """All four measures from two primitives of the law.
 
-    Two orthant rows, then one tau row per density-side outcome row r of the
-    law (with its mass) holding (1 - r_m) G_m(i, 0) + r_m G_m(i, 1) on side
-    i; for a 0/1 row that is exactly G_m(i, r_m).  On atoms this costs
-    O(n_atoms^2 d / 4) multiplications, on a count law O(s d^2) for s
-    supported counts, on independent margins O(d).
+    The orthant rhos are one two-row contraction (:func:`_rhos`); tau is the
+    law's ``pair_sum`` of the kernel G, E[prod_m G_m(I_m, I'_m)] over two
+    independent copies of I.  Cost per law:
+
+    * atoms: the rhos O(n_atoms d / 4); tau O(d 2^d) on the dense table when
+      2^d < n_atoms^2 / 4 and d <= 20, else O(n_atoms^2 d / 4) over the
+      outcome rows;
+    * count law with s supported counts: the rhos O(d + s), as power sums
+      over the support; tau O(s d^2) flops in one bilinear form, with no
+      loop over the margins (O(s d^2) in a loop over them when a given
+      shape vector is not constant);
+    * independent margins: O(d) each.
     """
     d = c.d
-    pref = _prefactor(d)
-    rows, weights = c.law.outcomes
-    orthant = _orthant_rows(c)
-    g00, g01, g10, g11 = _tau_kernel(c.p)
-    f0 = np.vstack([orthant[:, 0], (1.0 - rows) * g00 + rows * g01])
-    f1 = np.vstack([orthant[:, 1], (1.0 - rows) * g10 + rows * g11])
-    e = c.law.expect_products(f0, f1)
-    lo, up = (pref * (e[:2] - 1.0)).tolist()
-    t = (2.0**d * float(weights @ e[2:]) - 1.0) / (2.0 ** (d - 1) - 1.0)
+    lo, up = _rhos(c).tolist()
+    pair = c.law.pair_sum(_tau_kernel(c.p))
+    t = (2.0**d * pair - 1.0) / (2.0 ** (d - 1) - 1.0)
     return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
 
 

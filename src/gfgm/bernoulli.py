@@ -18,15 +18,18 @@ A copula evaluates through a *law* of I.  Each law supplies ``d``; its
 ``margins``; ``_chunk``, the points per chunk, and ``_contract``, the
 contraction E[prod_j f(i, j, I_j)] of one chunk of factor tables, from
 which the shared ``_Law._expect_chunks`` (points taken a chunk at a time)
-and ``expect_products`` (over whole tables) are made; its density-side
-``outcomes``, rows r with masses w such that, for I' an
-independent copy of I and per-margin kernels h_m (one kernel for all
-margins when the law is exchangeable),
+and ``expect_products`` (over whole tables) are made; ``pair_sum``, the
+sum E[prod_m h_m(I_m, I'_m)] over I and an independent copy I' for
+per-margin 2x2 kernels h_m (the bilinear form of Kendall's tau), whose
+shared default reads the density-side ``outcomes``, rows r with masses w
+such that
 
     E[prod_m h_m(I_m, I'_m)] = sum_r w_r E[prod_m ((1-r_m) h_m(I_m, 0) + r_m h_m(I_m, 1))]
 
 (the 0/1 atom rows, a "first k on" row per supported count, or the single
-margin row of a product law); ``moments()``, mu_S = E[prod_{j in S} I_j]
+margin row of a product law), and which a dense atom table (one 2x2 pass
+per margin) and a count law with one kernel for all margins (a sum over
+its support) override; ``moments()``, mu_S = E[prod_{j in S} I_j]
 over the 2^d subset masks S, or with ``flipped`` lambda_S, those of 1 - I
 (count and product laws add ``size_moments``, their extremes per size |S|);
 and ``as_atoms()``, its atom form.  Three
@@ -145,8 +148,23 @@ def _subset_products(f: np.ndarray) -> np.ndarray:
 class _Law:
     """A law of I: ``_chunk`` points per chunk and ``_contract`` of one chunk.
 
-    The chunk loop and ``expect_products`` are shared by every law.
+    The chunk loop, ``expect_products`` and the default ``pair_sum`` are
+    shared by every law.
     """
+
+    def pair_sum(self, kernel) -> float:
+        """E[prod_m K_m(I_m, I'_m)] for I' an independent copy of I.
+
+        ``kernel`` holds K_m(0, 0), K_m(0, 1), K_m(1, 0), K_m(1, 1), each a
+        scalar or one value per margin.  One contraction per density-side
+        outcome row r (with its mass), whose factor pair on margin m is
+        (1 - r_m) K_m(i, 0) + r_m K_m(i, 1) on side i.
+        """
+        k00, k01, k10, k11 = kernel
+        rows, weights = self.outcomes
+        f0 = (1.0 - rows) * k00 + rows * k01
+        f1 = (1.0 - rows) * k10 + rows * k11
+        return float(weights @ self.expect_products(f0, f1))
 
     def expect_products(self, f0, f1) -> np.ndarray:
         """E[prod_j f(i, j, I_j)] per point i, for (n, d) factor tables.
@@ -169,6 +187,14 @@ class _Law:
         for s in range(0, n, step):
             out[s : s + step] = self._contract(*factor_pairs(s, min(n, s + step)))
         return out
+
+
+def _kernel_table(kernel, d: int) -> np.ndarray:
+    """(4, d) values K_m(0, 0), K_m(0, 1), K_m(1, 0), K_m(1, 1) of a ``pair_sum`` kernel."""
+    table = np.empty((4, d))
+    for row, k in zip(table, kernel):
+        row[:] = k
+    return table
 
 
 def _check_atom_form(d: int):
@@ -341,6 +367,24 @@ class BernoulliPmf(_Law):
                 acc *= table.take(block_rows, axis=0)
             out += weights[a : a + span] @ acc
         return out
+
+    def pair_sum(self, kernel) -> float:
+        """E[prod_m K_m(I_m, I'_m)], on the dense table when it is the cheaper.
+
+        The dense route costs O(d 2^d), the outcome rows O(n_atoms^2 d / 4);
+        it is taken when 2^d d < n_atoms^2 d / 4 and d <= MAX_DENSE_DIMENSION.
+        With pi the table by mask, the sum is the bilinear form pi^T K pi,
+        K = (x) K_m, and K pi is one 2x2 pass per margin (after Yates, 1937).
+        """
+        if self.d > MAX_DENSE_DIMENSION or 4 << self.d >= self.n_atoms**2:
+            return super().pair_sum(kernel)
+        table = np.zeros(1 << self.d)
+        table[self.masks] = self.probs
+        out = table
+        # margin m's 2x2 matrix [[K(0, 0), K(0, 1)], [K(1, 0), K(1, 1)]] acts on bit m
+        for m, k in enumerate(_kernel_table(kernel, self.d).T.reshape(-1, 2, 2)):
+            out = k @ out.reshape(-1, 2, 1 << m)
+        return float(table @ out.reshape(-1))
 
     def expectation_of_products(self, g0, g1) -> float:
         """E[prod_j g(j, I_j)] where g(j, 0) = g0[j] and g(j, 1) = g1[j]."""

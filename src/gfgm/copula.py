@@ -44,6 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .bernoulli import (
+    CHUNK_ELEMENTS,
     BernoulliPmf,
     IndependenceLaw,
     InvalidDistributionError,
@@ -198,7 +199,10 @@ def cdf_natural(c: GfgmCopula, u):
     """Joint cdf through the polynomial (natural) representation.
 
     Sums all 2^d centered coefficients; intended as a cross-check of
-    :func:`cdf`, so it is gated to d <= 16.
+    :func:`cdf`, so it is gated to d <= 16.  The (points, 2^d) table of
+    subset products is formed one block of points at a time, at most
+    max(4, CHUNK_ELEMENTS / 2^d) points per block, so memory does not grow
+    with the number of points.
     """
     if c.d > NATURAL_FORM_MAX_D:
         raise InvalidDistributionError(
@@ -206,10 +210,16 @@ def cdf_natural(c: GfgmCopula, u):
         )
     pts, single = _as_points(u, c.d)
     nu = nu_all(c.law)
-    w = 1.0 - _pow_log(pts, (c.p / (1.0 - c.p))[None, :])  # 1 - u^{p/(1-p)}
-    # (n, 2^d) subset products of w, one (1, w_j) factor pair per margin
-    terms = _subset_products(np.stack([np.ones_like(w), w], axis=-1)[..., None])[..., 0]
-    out = pts.prod(axis=1) * (terms @ nu)
+    out = np.empty(pts.shape[0])
+    # points per block of (points, 2^d) terms; a multiple of 4 points, the rows
+    # OpenBLAS's gemv takes at a time, gives each point the sums of one call
+    step = max(4, CHUNK_ELEMENTS >> c.d)
+    for s in range(0, pts.shape[0], step):
+        block = pts[s : s + step]
+        w = 1.0 - _pow_log(block, (c.p / (1.0 - c.p))[None, :])  # 1 - u^{p/(1-p)}
+        # subset products of w, one (1, w_j) factor pair per margin
+        terms = _subset_products(np.stack([np.ones_like(w), w], axis=-1)[..., None])[..., 0]
+        out[s : s + step] = block.prod(axis=1) * (terms @ nu)
     return float(out[0]) if single else out
 
 

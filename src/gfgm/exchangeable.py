@@ -4,9 +4,9 @@ An exchangeable Bernoulli vector is determined by the law of its count
 N = I_1 + ... + I_d: every outcome of weight k carries mass q_k / C(d, k).
 That O(d) representation is the primary object here, and a law a copula
 evaluates through directly: the weight-class sums of its contraction give
-the cdf, density, survival function and association measures without
-touching 2^d outcomes.  Expansion to atom form is gated to d <= 20 and is
-needed only for sampling.
+the cdf, density and survival function, and sums over its support the
+association measures, without touching 2^d outcomes.  Expansion to atom
+form is gated to d <= 20 and is needed only for sampling.
 
 The module also covers the geometry of the exchangeable class for a fixed
 margin p: its extremal count pmfs (two-point laws straddling pd, plus the
@@ -36,6 +36,7 @@ from .bernoulli import (
     _check_atom_form,
     _check_dense_dim,
     _end_support,
+    _kernel_table,
     _Law,
     _popcount,
     validate_margin,
@@ -145,11 +146,71 @@ class ExchangeableCountPmf(_Law):
     _chunk = property(lambda self: max(1, CHUNK_ELEMENTS // (4 * (self.d + 1))))
 
     def _contract(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
-        """Weight class k weighs its sum of products by q_k / C(d, k), O(n d^2)."""
+        """Weight class k weighs its sum of products by q_k / C(d, k), O(n d^2).
+
+        A chunk whose rows each carry one factor pair (g0, g1) on every margin
+        takes sum_k q_k g1^k g0^(d-k) over the support instead, O(n s), each
+        power formed on the mantissas and its binary exponent added after.
+        """
+        mass = self._outcome_mass  # also the check d <= COUNT_LAW_MAX_D
+        if np.all(f0 == f0[:, :1]) and np.all(f1 == f1[:, :1]):
+            k = np.flatnonzero(self.q)
+            (m0, e0), (m1, e1) = np.frexp(f0[:, :1]), np.frexp(f1[:, :1])
+            return np.ldexp(m1**k * m0 ** (self.d - k), e1 * k + e0 * (self.d - k)) @ self.q[k]
         # exact power-of-two scaling to |f0| + |f1| in [1, 2): sums stay finite to d ~ 1000
         shift = np.frexp(np.abs(f0) + np.abs(f1))[1] - 1
         sums = _weight_class_sums(np.ldexp(f0, -shift), np.ldexp(f1, -shift))
-        return np.ldexp(sums @ self._outcome_mass, shift.sum(axis=1))
+        return np.ldexp(sums @ mass, shift.sum(axis=1))
+
+    def pair_sum(self, kernel) -> float:
+        """E[prod_m K(I_m, I'_m)] as a sum over the support, when K is one kernel for all margins.
+
+        Given I' with l ones, the weight-class sums of prod_m K(I_m, I'_m) are
+        the coefficients of (K01 + t K11)^l (K00 + t K10)^(d-l), the product
+        of two binomial rows, each pair scaled to a sum in [1, 2) as in
+        ``_contract``.  Contracted with w_k = q_k / C(d, k) that is the
+        bilinear form A_l^T H B_l, H[a, b] = w_(a+b), and all supported l
+        together are a few array operations: O(s d^2) flops for s supported
+        counts, no loop over the margins.  The rows are taken a chunk of
+        counts at a time within CHUNK_ELEMENTS; H holds (d + 1)^2 values.
+        A kernel that varies by margin, or has a zero value, takes the
+        outcome rows, O(s d^2).
+        """
+        table = _kernel_table(kernel, self.d)
+        if np.any(table != table[:, :1]) or not np.all(table):
+            return super().pair_sum(kernel)
+        d, ls = self.d, np.flatnonzero(self.q)
+        padded = np.zeros(2 * d + 1)
+        padded[: d + 1] = self._outcome_mass
+        hankel = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, d + 1))
+        # per count l, the row of (K01 + t K11)^l and that of (K00 + t K10)^(d-l)
+        pairs = table[[1, 3, 0, 2], :1].reshape(2, 2)
+        shift = np.frexp(np.abs(pairs).sum(axis=1))[1] - 1
+        x, y = np.ldexp(pairs, -shift[:, None]).T
+        sums = np.empty(ls.size)
+        step = max(1, CHUNK_ELEMENTS // (2 * (d + 1)))
+        for s in range(0, ls.size, step):
+            l = ls[s : s + step]
+            on, off = np.split(_binomial_rows(np.repeat(x, l.size), np.repeat(y, l.size),
+                                              np.concatenate([l, d - l]), d + 1), 2)
+            sums[s : s + step] = np.sum((on @ hankel) * off, axis=1)
+        return float(self.q[ls] @ np.ldexp(sums, ls * shift[0] + (d - ls) * shift[1]))
+
+
+def _binomial_rows(x: np.ndarray, y: np.ndarray, n: np.ndarray, width: int) -> np.ndarray:
+    """(n.size, width) coefficients of t^a in (x_i + t y_i)^(n_i), one row per i; x nonzero.
+
+    Each row is one running product from x^(n_i), with ratios
+    (n_i - a + 1) / a * y / x, taken on the mantissas of x and y; their binary
+    exponents are added last, so no term leaves the float range for n <= 1023.
+    """
+    (mx, ex), (my, ey) = np.frexp(x[:, None]), np.frexp(y[:, None])
+    a, n = np.arange(width), n[:, None]
+    rows = np.empty((n.size, width))
+    rows[:, :1] = mx**n
+    rows[:, 1:] = np.maximum(n + 1 - a[1:], 0) / a[1:] * (my / mx)
+    np.cumprod(rows, axis=1, out=rows)
+    return np.ldexp(rows, ex * (n - a) + ey * a)
 
 
 def _weight_class_sums(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:

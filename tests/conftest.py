@@ -1,9 +1,33 @@
 """Shared randomized-construction helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gfgm
 from gfgm import BernoulliPmf, ExchangeableCountPmf, GfgmCopula
+
+
+def child_peak_kib(code: str, *args: str) -> int:
+    """Peak resident size (VmHWM, KiB) of a fresh interpreter that runs ``code``.
+
+    The child imports gfgm from this source tree.  VmHWM, not ru_maxrss:
+    Linux carries ru_maxrss across exec, so a child of a large test process
+    would report the parent's size.
+    """
+    code += (
+        "\nwith open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gfgm.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return int(run.stdout)
 
 
 def random_dense_pmf(rng, d, margin_band=(0.05, 0.95), concentration=1.0):

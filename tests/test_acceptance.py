@@ -393,3 +393,50 @@ def test_criterion_12_order_check_at_d200(tmp_path):
     assert out.read_text().splitlines()[1] == "1,0,1,0,c_ordered"
     assert elapsed < 0.1
     _report(12, f"({elapsed:.3f}s)")
+
+
+def test_criterion_13_measures_from_the_laws_structure():
+    """`measures` of a full-support d = 18 pmf and of a full-support count law at d = 1000, each under 1 s."""
+    from scipy.special import roots_jacobi
+
+    from gfgm import ExchangeableCountPmf
+    from gfgm.association import _orthant_kernels, _tau_kernel
+
+    # the dense table through one 2x2 pass per margin, against its count law
+    cp = ExchangeableCountPmf(18, np.random.default_rng(1913).dirichlet(np.ones(19)))
+    c = GfgmCopula(expand(cp))
+    assert c.law.n_atoms == 1 << 18
+    start = time.perf_counter()
+    got = measures(c)
+    dense_s = time.perf_counter() - start
+    want = measures_exchangeable(cp)
+    assert (got.rho_cL, got.rho_cU, got.tau) == pytest.approx(
+        (want.rho_cL, want.rho_cU, want.tau), rel=1e-12, abs=0.0
+    )
+    assert dense_s < 1.0
+
+    # a Beta(2, 3) mixture at d = 1000 puts mass on every count.  Given the
+    # mixing values L and L' of I and I', the margins are independent, so
+    # E[prod_m G(I_m, I'_m)] = E[(sum_ij G(i, j) P(I_m = i | L) P(I'_m = j | L'))^d],
+    # a polynomial of degree d in each of L and L': Gauss-Jacobi with 501
+    # nodes per axis is exact.  The hypergeometric double sum over 1001^2
+    # count pairs is the same quantity at O(d^3) cost.
+    alpha, beta, d = 2.0, 3.0, 1000
+    c = beta_mixture_copula(alpha, beta, d)
+    assert np.all(c.law.q > 0.0)
+    start = time.perf_counter()
+    got = measures_exchangeable(c.law)
+    count_s = time.perf_counter() - start
+    x, w = roots_jacobi(501, beta - 1.0, alpha - 1.0)
+    lam, w = 0.5 * (1.0 + x), w / w.sum()
+    p = alpha / (alpha + beta)
+    g00, g01, g10, g11 = _tau_kernel(p)
+    a, b = lam[:, None], lam[None, :]
+    pair = 2.0 * (g00 * (1 - a) * (1 - b) + g01 * (1 - a) * b + g10 * a * (1 - b) + g11 * a * b)
+    want_tau = (w @ pair**d @ w - 1.0) / (2.0 ** (d - 1) - 1.0)
+    pref = (d + 1) / (2.0**d - d - 1.0)
+    want_rhos = [pref * (w @ (g0 * (1 - lam) + g1 * lam) ** d - 1.0) for g0, g1 in _orthant_kernels(p)]
+    assert got.tau == pytest.approx(want_tau, rel=1e-10, abs=0.0)
+    assert (got.rho_cL, got.rho_cU) == pytest.approx(want_rhos, rel=1e-10, abs=0.0)
+    assert count_s < 1.0
+    _report(13, f"(dense d=18 {dense_s:.3f}s, count d=1000 {count_s:.3f}s)")

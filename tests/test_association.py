@@ -314,7 +314,7 @@ class TestExchangeableMeasures:
             assert r1.rho_cU == pytest.approx(r2.rho_cU, abs=1e-11)
             assert r1.tau == pytest.approx(r2.tau, abs=1e-11)
 
-    @pytest.mark.parametrize("d", [40, 120, 200])
+    @pytest.mark.parametrize("d", [40, 120, 200, 1000])
     def test_tau_overlap_law_matches_scipy_hypergeom(self, rng, d):
         from scipy.stats import hypergeom
 
@@ -324,6 +324,7 @@ class TestExchangeableMeasures:
         q = np.zeros(d + 1)
         q[rng.choice(d + 1, size=12, replace=False)] = rng.dirichlet(np.ones(12))
         cps = [end_count_pmf(0.37, d), comonotone_count_pmf(0.6, d), ExchangeableCountPmf(d, q)]
+        cps += [law(p, d) for p in (0.02, 0.98) for law in (end_count_pmf, comonotone_count_pmf)]
         for cp in cps:
             g00, g01, g10, g11 = _tau_kernel(cp.p)
             total = 0.0

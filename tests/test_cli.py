@@ -2,8 +2,6 @@
 
 import hashlib
 import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +11,8 @@ from gfgm import ExchangeableCountPmf, association, cdf_epd, cli, sampling
 from gfgm.bernoulli import IndependenceLaw
 from gfgm.cli import MAX_PRECISION, main
 from gfgm.copula import NATURAL_FORM_MAX_D
+
+from conftest import child_peak_kib
 
 
 def _run(capsys, argv):
@@ -450,25 +450,14 @@ class TestPdfGrid:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_peak_memory_at_the_resolution_cap(self):
         # the whole 2048^2 grid at once peaked at 288 MB resident; a block of
-        # grid rows at a time stays near the interpreter's own 30-40 MB.
-        # VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a
-        # child of a large test process would report the parent's size.
+        # grid rows at a time stays near the interpreter's own 30-40 MB
         code = (
             "import os, sys\n"
             "from gfgm.cli import main\n"
             "argv = ['pdf-grid', '--p', '0.4,0.6', '--theta', '0.5', '--resolution', sys.argv[1]]\n"
-            "assert main(argv + ['--out', os.devnull]) == 0\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))"
+            "assert main(argv + ['--out', os.devnull]) == 0"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", code, str(cli.MAX_RESOLUTION)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert int(run.stdout) <= 80 * 1024  # KiB
+        assert child_peak_kib(code, str(cli.MAX_RESOLUTION)) <= 80 * 1024
 
     @pytest.mark.parametrize("res", ["0", "-2"])
     def test_rejects_empty_grid(self, capsys, res):

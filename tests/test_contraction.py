@@ -261,7 +261,9 @@ def test_d63_comonotone_cdf_near_underflow():
     assert cdf(c, u) == pytest.approx(want, rel=1e-14)
 
 
-@pytest.mark.parametrize("d, n_atoms", [(2, 4), (3, 8), (5, 20), (17, 30), (40, 25)])
+@pytest.mark.parametrize(
+    "d, n_atoms", [(2, 4), (3, 8), (5, 20), (17, 30), (40, 25), (8, 256), (10, 1024)]
+)
 def test_tau_matches_double_loop(d, n_atoms):
     c = GfgmCopula(_random_atoms(np.random.default_rng(d), d, n_atoms))
     assert tau(c) == pytest.approx(_tau_double_loop(c), rel=1e-12, abs=1e-14)
@@ -303,10 +305,11 @@ def test_count_law_matches_expanded_atoms(d):
     np.testing.assert_allclose(got, expand(cp).expect_products(f0, f1), rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("d, extra", [(200, [(0.5, 1.5), (1.0, 1.0)]), (800, [])])
+@pytest.mark.parametrize("d, extra", [(200, [(0.5, 1.5), (1.0, 1.0)]), (800, []), (800, [(0.5, 1.5)])])
 def test_count_law_matches_power_sums(d, extra):
     # constant factor pairs: E = sum_k q_k g1^k g0^(d-k), the orthant power
-    # sum; at d = 800 the unscaled class sums of the orthant pairs overflow
+    # sum; at d = 800 the unscaled class sums of the orthant pairs overflow,
+    # and scaled ones lost (0.5, 1.5) on END(0.05), 1e-362 below the largest class
     rng = np.random.default_rng(d)
     q = np.zeros(d + 1)
     q[rng.choice(d + 1, size=12, replace=False)] = rng.dirichlet(np.ones(12))

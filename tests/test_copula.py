@@ -1,5 +1,7 @@
 """Copula cdf/pdf forms, reductions, and the univariate representation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,10 @@ from gfgm import (
     theta_bounds,
 )
 from gfgm.association import gauss_legendre_unit
+from gfgm.bernoulli import _subset_products, nu_all
+from gfgm.copula import _pow_log
 
-from conftest import random_copula, random_dense_pmf
+from conftest import child_peak_kib, random_copula, random_dense_pmf
 
 
 def _symmetric_pmf(rng, d):
@@ -122,6 +126,29 @@ class TestNaturalForm:
         c = GfgmCopula.comonotone([0.5] * 17)
         with pytest.raises(InvalidDistributionError):
             cdf_natural(c, np.full(17, 0.5))
+
+    @pytest.mark.parametrize("d, n", [(6, 9000), (12, 203), (16, 37)])
+    def test_blocks_match_one_table(self, rng, d, n):
+        # the form one block of points at a time against the whole (n, 2^d)
+        # table of subset products at once
+        c = random_copula(rng, d)
+        pts = rng.uniform(0, 1, size=(n, d))
+        w = 1.0 - _pow_log(pts, c.p / (1.0 - c.p))
+        terms = _subset_products(np.stack([np.ones_like(w), w], axis=-1)[..., None])[..., 0]
+        want = pts.prod(axis=1) * (terms @ nu_all(c.law))
+        np.testing.assert_allclose(cdf_natural(c, pts), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_memory_does_not_grow_with_points(self):
+        # the whole (200, 2^16) table at once peaked at 186 MB resident;
+        # a block of points at a time stays near the interpreter's own size
+        code = (
+            "import numpy as np\n"
+            "from gfgm import GfgmCopula, cdf_natural, end_count_pmf\n"
+            "pts = np.random.default_rng(7).uniform(size=(200, 16))\n"
+            "assert np.all(np.isfinite(cdf_natural(GfgmCopula(end_count_pmf(0.4, 16)), pts)))"
+        )
+        assert child_peak_kib(code) <= 64 * 1024
 
 
 class TestPdf:

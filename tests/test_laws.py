@@ -35,6 +35,7 @@ from gfgm import (
     sample,
     survival,
 )
+from gfgm.association import _tau_kernel
 from gfgm.bernoulli import BernoulliPmf, IndependenceLaw, _Law
 
 from conftest import random_exchangeable_count, random_sparse_pmf
@@ -153,6 +154,31 @@ def test_specs_evaluate_without_expanding(monkeypatch):
     # the d = 2 quadrature oracle reads the law's 2x2 table, not its atoms
     for c in (build_copula(exchangeable="counts:0.3,0.25,0.45"), build_copula(p=[0.3, 0.8])):
         assert measures_by_quadrature(c).tau == pytest.approx(measures(c).tau, abs=1e-6)
+
+
+def test_measures_take_the_laws_structure(monkeypatch):
+    # a count law with one kernel on every margin: power sums and a sum over
+    # its support, never the weight-class sums and their loop over the margins;
+    # a dense table: one 2x2 pass per margin, never its n_atoms outcome rows
+    def refuse(*args):
+        raise AssertionError("generic route")
+
+    rng = np.random.default_rng(1919)
+    count = GfgmCopula(ExchangeableCountPmf(300, rng.dirichlet(np.ones(301))))
+    dense = GfgmCopula(BernoulliPmf(12, np.arange(1 << 12), rng.dirichlet(np.ones(1 << 12))))
+    sparse = GfgmCopula(random_sparse_pmf(rng, 12))
+    # a given shape vector that is not constant keeps the count law's outcome rows
+    shaped = GfgmCopula(count.law, count.p + np.linspace(0.0, 1e-11, 300))
+    want = {c: _Law.pair_sum(c.law, _tau_kernel(c.p)) for c in (count, dense)}
+    monkeypatch.setattr(gfgm.exchangeable, "_weight_class_sums", refuse)
+    monkeypatch.setattr(BernoulliPmf, "outcomes", property(refuse))
+    for c in (count, dense):
+        got = measures(c)
+        assert np.isfinite([got.rho_cL, got.rho_cU, got.tau]).all()
+        assert c.law.pair_sum(_tau_kernel(c.p)) == pytest.approx(want[c], rel=1e-12)
+    for c in (sparse, shaped):
+        with pytest.raises(AssertionError, match="generic route"):
+            measures(c)
 
 
 LAWS = {

@@ -121,13 +121,14 @@ def _rhos(c: GfgmCopula) -> np.ndarray:
 
 def _orthant_kernels(p):
     """Per-margin factor pairs (g0, g1) of rho_cL and of rho_cU at margin(s) p."""
-    lower = (2.0 * (1.0 - p) / (2.0 - p), (3.0 - 2.0 * p) / (2.0 - p))
-    return lower, (2.0 / (2.0 - p), 1.0 / (2.0 - p))
+    q = 2.0 - p
+    return (2.0 * (1.0 - p) / q, (3.0 - 2.0 * p) / q), (2.0 / q, 1.0 / q)
 
 
 def _tau_kernel(p):
     """Per-margin kernel values (G(0,0), G(0,1), G(1,0), G(1,1)) at margin(s) p."""
-    return 0.5, (1.0 - p) / (2.0 * (2.0 - p)), (3.0 - p) / (2.0 * (2.0 - p)), 0.5
+    q = 2.0 * (2.0 - p)
+    return 0.5, (1.0 - p) / q, (3.0 - p) / q, 0.5
 
 
 def tau(c: GfgmCopula) -> float:
@@ -158,36 +159,46 @@ def measures(c: GfgmCopula) -> AssociationReport:
     return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
 
 
-def _power_sums(p: float, d: int, support) -> tuple[float, float]:
-    """Orthant contractions (rho_cL side, rho_cU side) of a count law with margin p.
+def _orthant_rhos(p: float, d: int, support) -> tuple[float, float]:
+    """(rho_cL, rho_cU) of a count law with margin p on ``support``, (count, mass) pairs.
 
-    ``support`` holds (count, mass) pairs; every margin carries the pair (g0, g1)
-    of :func:`_orthant_kernels`, so k ones add w g1^k g0^(d-k), in count order.
+    Every margin carries the pair (g0, g1) of :func:`_orthant_kernels`, so
+    k ones add w g1^k g0^(d-k), in count order, in Python floats (each power
+    is libm's ``pow``).  ``p`` is a checked margin; ``_prefactor`` checks d
+    before any 2^d.  The kernel of both extreme closed forms and of
+    ``gfgm tables``.
     """
+    pref = _prefactor(d)
     (l0, l1), (u0, u1) = _orthant_kernels(p)
     lo = up = 0.0
     for k, w in support:
-        lo += w * l1**k * l0 ** (d - k)
-        up += w * u1**k * u0 ** (d - k)
-    return lo, up
+        m = d - k
+        lo += w * l1**k * l0**m
+        up += w * u1**k * u0**m
+    return pref * (lo - 1.0), pref * (up - 1.0)
+
+
+def _comonotone_tau(p: float, d: int) -> float:
+    """Kendall's tau of the comonotone count law, the maximal one, at a checked p and d.
+
+    p (1-p) ((2 G(1,0))^d - 2 + (2 G(0,1))^d) / (2^(d-1) - 1), in Python floats.
+    """
+    _, g01, g10, _ = _tau_kernel(p)
+    return p * (1.0 - p) / (2.0 ** (d - 1) - 1.0) * ((2.0 * g10) ** d - 2.0 + (2.0 * g01) ** d)
 
 
 def max_measures_gfgm_p(p: float, d: int) -> AssociationReport:
     """Measures of the most positively dependent equal-margin copula.
 
     The comonotone count law on {0, d}, through the per-margin kernels as
-    powers, so that d in the hundreds stays in floating range; tau is
-    p (1-p) ((2 G(1,0))^d - 2 + (2 G(0,1))^d) / (2^(d-1) - 1).  Must agree
-    with the generic formulas applied to the comonotone law.
+    powers, so that d in the hundreds stays in floating range
+    (:func:`_orthant_rhos`, :func:`_comonotone_tau`).  Must agree with the
+    generic formulas applied to the comonotone law.
     """
     p = validate_margin(p)
     d = int(d)
-    pref = _prefactor(d)
-    m_lo, m_up = _power_sums(p, d, ((0, 1.0 - p), (d, p)))
-    lo, up = pref * (m_lo - 1.0), pref * (m_up - 1.0)
-    _, g01, g10, _ = _tau_kernel(p)
-    t = p * (1.0 - p) / (2.0 ** (d - 1) - 1.0) * ((2.0 * g10) ** d - 2.0 + (2.0 * g01) ** d)
-    return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
+    lo, up = _orthant_rhos(p, d, ((0, 1.0 - p), (d, p)))
+    return AssociationReport(lo, up, 0.5 * (lo + up), _comonotone_tau(p, d), d, "closed_form")
 
 
 def min_measures_exchangeable(p: float, d: int) -> tuple[float, float]:
@@ -201,9 +212,7 @@ def min_measures_exchangeable(p: float, d: int) -> tuple[float, float]:
     """
     p = validate_margin(p)
     d = int(d)
-    pref = _prefactor(d)
-    m_lo, m_up = _power_sums(p, d, _end_support(p, d))
-    return pref * (m_lo - 1.0), pref * (m_up - 1.0)
+    return _orthant_rhos(p, d, _end_support(p, d))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ MAX_DIMENSION = 63
 MAX_DENSE_DIMENSION = 20
 PROB_ATOL = 1e-12
 _MARGIN_DOMAIN = f"({PROB_ATOL:g}, 1 - {PROB_ATOL:g})"
+_MARGIN_HI = 1.0 - PROB_ATOL
 SUM_SLACK = 1e-9
 #: Margins per block of the subset-product tables in ``expect_products``.
 BLOCK_BITS = 4
@@ -92,9 +93,9 @@ def mask_to_bitstring(mask: int, d: int) -> str:
 
 def bitstring_to_mask(s: str) -> int:
     """Parse a bit string (component 0 leftmost) into an outcome mask."""
-    if not s or any(ch not in "01" for ch in s):
+    if not s or s.strip("01"):  # int() would take "0_1", "+01" and " 01"
         raise InvalidDistributionError(f"not a bit string: {s!r}")
-    return sum(1 << j for j, ch in enumerate(s) if ch == "1")
+    return int(s[::-1], 2)
 
 
 def validate_margin(p) -> float:
@@ -103,7 +104,7 @@ def validate_margin(p) -> float:
     A plain float comparison: the closed forms call it once per evaluation.
     """
     p = float(p)
-    if not PROB_ATOL < p < 1.0 - PROB_ATOL:  # also rejects NaN
+    if not PROB_ATOL < p < _MARGIN_HI:  # also rejects NaN
         raise InvalidDistributionError(f"margin {p!r} must lie in {_MARGIN_DOMAIN}")
     return p
 

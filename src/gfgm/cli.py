@@ -7,9 +7,15 @@ grids over p and d), ``sample`` (seeded batches as CSV), ``extremals``
 ``order-check`` (concordance order, decided exactly from the moments of the
 two Bernoulli laws).  All outputs are CSV with ``#``-prefixed metadata
 comments.
-A call registers only the subparser of the command it runs (``_COMMANDS``
-holds each command's help, arguments and handler); ``-h``, an empty or an
-unknown command gets all seven, so help and errors read as they always have.
+When ``argv[0]`` names a command, ``main`` builds only that command's
+parser (``_COMMANDS`` holds each command's help, arguments and handler) and
+parses the rest of argv once; the top-level parser is built only to report
+arguments the command left unrecognized, under its usage line.  ``-h``, an
+empty argv or an unknown command gets the top-level parser with all seven
+subparsers, so help and errors read as they always have.  ``tables``
+checks each p once and computes only the measure it prints, from the
+kernels that ``max_measures_gfgm_p`` and ``min_measures_exchangeable``
+share.
 The numeric tables of ``sample``, ``pdf-grid`` and ``eval`` go through
 ``_write_rows``, which writes long chunks of ``%.Ng`` text (N <= 17) by an
 exact vectorised conversion, byte for byte what ``'%.Ng' % x`` writes, and
@@ -25,11 +31,12 @@ import argparse
 import contextlib
 import functools
 import sys
+from gettext import gettext
 
 import numpy as np
 
 from . import association, exchangeable, sampling
-from .bernoulli import InvalidDistributionError
+from .bernoulli import InvalidDistributionError, _end_support, validate_margin
 from .copula import cdf, cdf_natural, pdf
 from .specio import build_copula, load_copula_spec
 
@@ -341,24 +348,45 @@ def _cmd_measures(args) -> int:
     return 0
 
 
+def _max_rhos(p, d):  # the comonotone count law on {0, d}, as in max_measures_gfgm_p
+    return association._orthant_rhos(p, d, ((0, 1.0 - p), (d, p)))
+
+
+def _max_rho_c(p, d):
+    lo, up = _max_rhos(p, d)
+    return 0.5 * (lo + up)
+
+
+def _min_rhos(p, d):  # the END count law, as in min_measures_exchangeable
+    return association._orthant_rhos(p, d, _end_support(p, d))
+
+
+# --which -> (dimensions, the cell at a checked margin p and dimension d), each
+# from the kernels of ``max_measures_gfgm_p`` and ``min_measures_exchangeable``
+_TABLES = {
+    "rhoL-max": (MAX_TABLE_DS, lambda p, d: _max_rhos(p, d)[0]),
+    "rhoU-max": (MAX_TABLE_DS, lambda p, d: _max_rhos(p, d)[1]),
+    "rhoC-max": (MAX_TABLE_DS, _max_rho_c),
+    "tau-max": (MAX_TABLE_DS, association._comonotone_tau),
+    "rhoL-min": (MIN_TABLE_DS, lambda p, d: _min_rhos(p, d)[0]),
+    "rhoU-min": (MIN_TABLE_DS, lambda p, d: _min_rhos(p, d)[1]),
+}
+
+
 def _cmd_tables(args) -> int:
     which = args.which
-    if which.endswith("-max"):
-        ds = MAX_TABLE_DS
-        key = {"rhoL-max": "rho_cL", "rhoU-max": "rho_cU", "rhoC-max": "rho_c", "tau-max": "tau"}[which]
-        cell = lambda p, d: getattr(association.max_measures_gfgm_p(p, d), key)
-    else:
-        ds = MIN_TABLE_DS
-        idx = {"rhoL-min": 0, "rhoU-min": 1}[which]
-        cell = lambda p, d: association.min_measures_exchangeable(p, d)[idx]
+    ds, cell = _TABLES[which]
     if not 0 <= args.precision <= MAX_PRECISION:
         raise InvalidDistributionError(f"--precision must be from 0 to {MAX_PRECISION}")
-    table = np.array([[p] + [cell(p, d) for d in ds] for p in TABLE_PS])
+    values = []
+    for p in map(validate_margin, TABLE_PS):
+        values.append(p)
+        values += [cell(p, d) for d in ds]
     with _output(args.out) as fh:
         print(f"# table {which}", file=fh)
         print("p," + ",".join(str(d) for d in ds), file=fh)
         line = ",".join(["%.1f"] + [f"%.{args.precision}f"] * len(ds)) + "\n"
-        fh.write(line * len(table) % tuple(table.ravel().tolist()))
+        fh.write(line * len(TABLE_PS) % tuple(values))
     return 0
 
 
@@ -435,7 +463,7 @@ def _tables_args(p):
     p.add_argument(
         "--which",
         required=True,
-        choices=("rhoL-max", "rhoU-max", "rhoC-max", "tau-max", "rhoL-min", "rhoU-min"),
+        choices=tuple(_TABLES),
     )
     p.add_argument("--precision", type=int, default=4)
 
@@ -469,14 +497,23 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names) -> argparse.ArgumentParser:
-    """The parser with the subparsers of ``names`` only.
+def _add_command(sub, name) -> argparse.ArgumentParser:
+    """Register command ``name`` with the subparsers action ``sub``; return its parser."""
+    help_text, add_args = _COMMANDS[name][:2]
+    p = sub.add_parser(name, help=help_text)
+    add_args(p)
+    p.add_argument("--out")
+    return p
 
-    Each argument costs argparse a translation lookup and a terminal-width
-    probe, so building all seven takes several times what ``tables``
-    computes.  With one subparser the usage line keeps all seven names
-    through ``metavar``; the full parser sets none, so its "invalid choice"
-    error still names the argument ``command``.
+
+def _build_parser(names) -> argparse.ArgumentParser:
+    """The top-level parser, with the subparsers of ``names`` only.
+
+    ``main`` builds it with all seven for ``-h``, an empty argv or an
+    unknown command, and with none to report arguments that a command's own
+    parser left unrecognized.  With fewer than seven the usage line keeps
+    all seven names through ``metavar``; the full parser sets none, so its
+    "invalid choice" error still names the argument ``command``.
     """
     parser = argparse.ArgumentParser(
         prog="gfgm",
@@ -486,21 +523,37 @@ def _build_parser(names) -> argparse.ArgumentParser:
     metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_args, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_args(p)
-        p.add_argument("--out")
-        p.set_defaults(func=handler)
+        _add_command(sub, name).set_defaults(func=_COMMANDS[name][2])
     return parser
+
+
+def _parse(argv):
+    """(handler, namespace) of ``argv``; argparse exits 0 for help and 2 on errors.
+
+    When ``argv[0]`` names a command, only that command's parser is built,
+    by the same subparsers action the top-level parser uses (so its ``prog``
+    is "gfgm <command>"), and it parses ``argv[1:]`` once.  Each argument
+    costs argparse a translation lookup and a terminal-width probe, so the
+    top-level parser and a second level of parsing cost about what the
+    command's own parser costs.  Arguments it leaves unrecognized are
+    reported, as before, under the top-level usage line.
+    """
+    if argv and argv[0] in _COMMANDS:
+        sub = argparse._SubParsersAction([], prog="gfgm", parser_class=argparse.ArgumentParser)
+        args, extras = _add_command(sub, argv[0]).parse_known_args(argv[1:])
+        if extras:
+            _build_parser(()).error(gettext("unrecognized arguments: %s") % " ".join(extras))
+        return _COMMANDS[argv[0]][2], args
+    args = _build_parser(tuple(_COMMANDS)).parse_args(argv)
+    return args.func, args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    names = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
-    args = _build_parser(names).parse_args(argv)
+    handler, args = _parse(argv)
     try:
-        return args.func(args)
+        return handler(args)
     except OracleDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

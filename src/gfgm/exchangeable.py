@@ -100,13 +100,23 @@ class ExchangeableCountPmf(_Law):
 
     @cached_property
     def _outcome_mass(self) -> np.ndarray:
-        """q_k / C(d, k): the mass of each single outcome of weight k."""
+        """q_k / C(d, k): the mass of each single outcome of weight k.
+
+        Every C(d, k) comes from one exact integer recurrence,
+        C(d, k + 1) = C(d, k) (d - k) / (k + 1), so the integers, and their
+        floats, are those of ``math.comb`` at O(d) small steps.
+        """
         if self.d > COUNT_LAW_MAX_D:
             raise InvalidDistributionError(
                 f"count-law evaluation needs d <= {COUNT_LAW_MAX_D}, where C(d, k) fits a float; "
                 f"got d={self.d}"
             )
-        return self.q / np.array([math.comb(self.d, k) for k in range(self.d + 1)], dtype=float)
+        d, c = self.d, 1
+        binom = [1] * (d + 1)
+        for k in range(d):
+            c = c * (d - k) // (k + 1)
+            binom[k + 1] = c
+        return self.q / np.array(binom, dtype=float)
 
     margins = property(lambda self: np.full(self.d, self.p))
 

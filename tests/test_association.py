@@ -45,6 +45,7 @@ from conftest import (
     random_dense_pmf,
     random_exchangeable_count,
 )
+from gfgm import cli
 from gfgm.association import _MAX_NODES, gauss_legendre_unit
 from gfgm.bernoulli import IndependenceLaw, _popcount
 from gfgm.exchangeable import expand
@@ -168,6 +169,22 @@ class TestExtremeClosedForms:
         assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
             "4a5c0bfdd2dc6fc59c541ba121f09a988528d57f38b04b5e1d5c3f80ee1545d6"
         )
+
+    def test_tables_cells_equal_the_closed_forms(self):
+        # ``gfgm tables`` calls the kernels of the closed forms, not the forms
+        public = {
+            "rhoL-max": lambda p, d: max_measures_gfgm_p(p, d).rho_cL,
+            "rhoU-max": lambda p, d: max_measures_gfgm_p(p, d).rho_cU,
+            "rhoC-max": lambda p, d: max_measures_gfgm_p(p, d).rho_c,
+            "tau-max": lambda p, d: max_measures_gfgm_p(p, d).tau,
+            "rhoL-min": lambda p, d: min_measures_exchangeable(p, d)[0],
+            "rhoU-min": lambda p, d: min_measures_exchangeable(p, d)[1],
+        }
+        assert list(cli._TABLES) == list(public)
+        grid = [(k / 1000, d) for d in _EXTREME_DS for k in range(1, 1000)]
+        for which, (ds, cell) in cli._TABLES.items():
+            cells = [(p, d) for p in cli.TABLE_PS for d in ds] + grid
+            assert [cell(p, d) for p, d in cells] == [public[which](p, d) for p, d in cells]
 
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.37, 0.5, 0.8, 0.95])
     @pytest.mark.parametrize("d", [50, 200, 1000, 1023])

@@ -73,6 +73,12 @@ class TestConstruction:
         assert pmf.n_atoms == 2
         assert pmf.prob(bitstring_to_mask("01")) == 0.0
 
+    @pytest.mark.parametrize("text", ["0_1", "+01", " 01", "01 ", "", "012"])
+    def test_rejects_what_is_not_a_bit_string(self, text):
+        # int(text[::-1], 2) alone would take "0_1", "+01", " 01" and "01 "
+        with pytest.raises(InvalidDistributionError, match="not a bit string"):
+            bitstring_to_mask(text)
+
 
 class TestMarginals:
     def test_symmetric_independence(self):

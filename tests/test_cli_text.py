@@ -1,7 +1,7 @@
 """The text of ``gfgm``'s usage lines, help and argument errors, byte for byte.
 
-``main`` registers only the subparser of the command it runs, so these pins
-check that such a parser writes what the parser holding all seven writes.
+``main`` builds only the parser of the command it runs, so these pins check
+that such a parser writes what the parser holding all seven writes.
 """
 
 import argparse
@@ -292,3 +292,19 @@ def test_help_registers_and_lists_all_seven_in_order(capsys, registered):
 def test_any_other_argv_registers_all_seven(capsys, registered, argv):
     assert _run(capsys, argv)[0] == 2
     assert registered == list(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv", [["tables", "--which", "tau-max"], ["extremals", "--p", "0.5", "--d", "3"]]
+)
+def test_a_known_command_builds_one_parser(capsys, monkeypatch, tmp_path, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert _run(capsys, argv + ["--out", str(tmp_path / "out.csv")])[0] == 0
+    assert built == [f"gfgm {argv[0]}"]

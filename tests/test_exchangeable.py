@@ -64,6 +64,13 @@ class TestCountPmf:
         with pytest.raises(InvalidDistributionError, match="nonnegative numbers|sum to"):
             ExchangeableCountPmf(3, np.array([0.25, bad, 0.25, 0.5]))
 
+    @pytest.mark.parametrize("d", [2, 10, 200, 1029])
+    def test_outcome_masses_match_math_comb(self, rng, d):
+        # the integer recurrence forms the same C(d, k), so the same floats
+        cp = ExchangeableCountPmf(d, rng.dirichlet(np.ones(d + 1)))
+        want = cp.q / np.array([math.comb(d, k) for k in range(d + 1)], dtype=float)
+        assert cp._outcome_mass.tobytes() == want.tobytes()
+
 
 class TestExpand:
     def test_comonotone_d2(self):

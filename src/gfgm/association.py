@@ -178,6 +178,16 @@ def _orthant_rhos(p: float, d: int, support) -> tuple[float, float]:
     return pref * (lo - 1.0), pref * (up - 1.0)
 
 
+def _comonotone_rhos(p: float, d: int) -> tuple[float, float]:
+    """(rho_cL, rho_cU) of the comonotone count law on {0, d}, the maximal ones."""
+    return _orthant_rhos(p, d, ((0, 1.0 - p), (d, p)))
+
+
+def _end_rhos(p: float, d: int) -> tuple[float, float]:
+    """(rho_cL, rho_cU) of the END count law, the minimal exchangeable ones."""
+    return _orthant_rhos(p, d, _end_support(p, d))
+
+
 def _comonotone_tau(p: float, d: int) -> float:
     """Kendall's tau of the comonotone count law, the maximal one, at a checked p and d.
 
@@ -192,12 +202,12 @@ def max_measures_gfgm_p(p: float, d: int) -> AssociationReport:
 
     The comonotone count law on {0, d}, through the per-margin kernels as
     powers, so that d in the hundreds stays in floating range
-    (:func:`_orthant_rhos`, :func:`_comonotone_tau`).  Must agree with the
+    (:func:`_comonotone_rhos`, :func:`_comonotone_tau`).  Must agree with the
     generic formulas applied to the comonotone law.
     """
     p = validate_margin(p)
     d = int(d)
-    lo, up = _orthant_rhos(p, d, ((0, 1.0 - p), (d, p)))
+    lo, up = _comonotone_rhos(p, d)
     return AssociationReport(lo, up, 0.5 * (lo + up), _comonotone_tau(p, d), d, "closed_form")
 
 
@@ -212,7 +222,7 @@ def min_measures_exchangeable(p: float, d: int) -> tuple[float, float]:
     """
     p = validate_margin(p)
     d = int(d)
-    return _orthant_rhos(p, d, _end_support(p, d))
+    return _end_rhos(p, d)
 
 
 # ---------------------------------------------------------------------------

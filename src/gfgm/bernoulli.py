@@ -119,6 +119,21 @@ def validate_margins(p) -> np.ndarray:
     return p
 
 
+def _normalised(masses: np.ndarray, noun: str) -> np.ndarray:
+    """``masses`` clipped at 0 and divided by their sum, which must be 1 within SUM_SLACK.
+
+    A value below -PROB_ATOL or NaN raises, and so does a sum further off;
+    ``noun`` ("probabilities", "count masses") names the masses in the
+    message.  Elementwise, so the masses may be reordered before or after.
+    """
+    if not np.all(masses >= -PROB_ATOL):  # also rejects NaN
+        raise InvalidDistributionError(f"{noun} must be nonnegative numbers")
+    total = float(masses.sum())
+    if not abs(total - 1.0) <= SUM_SLACK:
+        raise InvalidDistributionError(f"{noun} sum to {total}, not 1")
+    return np.clip(masses, 0.0, None) / total
+
+
 def _end_support(p: float, d: int) -> tuple[tuple[int, float], ...]:
     """(count, mass) pairs of the least-spread count law with mean pd.
 
@@ -261,12 +276,7 @@ class BernoulliPmf(_Law):
         masks = masks[order]
         if np.any(masks[1:] == masks[:-1]):
             raise InvalidDistributionError("duplicate outcome masks")
-        if not np.all(probs >= -PROB_ATOL):  # also rejects NaN
-            raise InvalidDistributionError("probabilities must be nonnegative numbers")
-        total = float(probs.sum())  # in input order
-        if not abs(total - 1.0) <= SUM_SLACK:
-            raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
-        probs = np.clip(probs[order], 0.0, None) / total
+        probs = _normalised(probs, "probabilities")[order]  # summed in input order
         keep = probs > 0.0
         object.__setattr__(self, "masks", masks[keep])
         object.__setattr__(self, "probs", probs[keep])

@@ -17,9 +17,10 @@ checks each p once and computes only the measure it prints, from the
 kernels that ``max_measures_gfgm_p`` and ``min_measures_exchangeable``
 share.
 The numeric tables of ``sample``, ``pdf-grid`` and ``eval`` go through
-``_write_rows``, which writes long chunks of ``%.Ng`` text (N <= 17) by an
-exact vectorised conversion, byte for byte what ``'%.Ng' % x`` writes, and
-short or mostly out-of-range chunks with ``%`` itself.
+``_write_rows``, which writes every chunk of ``%.Ng`` text (N <= 17) by an
+exact vectorised conversion, byte for byte what ``'%.Ng' % x`` writes; the
+values it cannot prove, out of its fixed range among them, it writes with
+``%`` itself.
 
 Exit codes: 0 success, 2 validation error or a request too large for
 memory, 3 numeric cross-check disagreement (``--verify``).
@@ -36,7 +37,7 @@ from gettext import gettext
 import numpy as np
 
 from . import association, exchangeable, sampling
-from .bernoulli import InvalidDistributionError, _end_support, validate_margin
+from .bernoulli import InvalidDistributionError, validate_margin
 from .copula import cdf, cdf_natural, pdf
 from .specio import build_copula, load_copula_spec
 
@@ -44,12 +45,6 @@ MAX_TABLE_DS = (2, 3, 5, 8, 10, 15, 20, 50, 100)
 MIN_TABLE_DS = (2, 3, 4, 5, 8, 10, 15)
 TABLE_PS = tuple(k / 10 for k in range(1, 10))
 _WRITE_CHUNK_VALUES = 1 << 12  # values formatted per write, bounds the transient arrays
-# A chunk goes through _format_g only when it is long enough and almost all in
-# its fixed range: below 2^10 values the fixed numpy cost of a call (about
-# 0.1 ms) outweighs the saving, and each value out of range costs the pass
-# and its own ``%`` (with 20% zeros or 1e-30s the chunk was already slower).
-_FAST_MIN_VALUES = 1 << 10
-_FAST_MIN_SHARE = 0.9
 _FIXED_LO, _FIXED_HI = 1e-5, 1e17  # the values _format_g can write in fixed notation
 # A value's %.Ng text is at most 22 bytes ("0.000" and 17 digits); with its
 # separator at byte 22 it fills a row of 24 bytes, three uint64 words.
@@ -246,24 +241,18 @@ def _write_rows(fh, precisions, values) -> None:
     """Write each row of a 2-D float array as a CSV line, column j as ``%.{precisions[j]}g``.
 
     Precisions run from 1 to 17; the text is that of ``%``, byte for byte.
-    A chunk goes through ``_format_g`` when it holds at least
-    ``_FAST_MIN_VALUES`` values and a share of at least ``_FAST_MIN_SHARE``
-    lies in its fixed range; any other chunk (a short table, or mostly
-    zeros or tiny values) is cheaper to write with one ``%`` over the chunk.
+    Every chunk of whole rows, up to ``_WRITE_CHUNK_VALUES`` values, goes
+    through ``_format_g``, which writes the values it cannot prove (zero,
+    negative, not finite, exponent form, near-ties) with ``%`` itself.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     cols = values.shape[1]
     step = max(1, _WRITE_CHUNK_VALUES // cols)
-    line = ",".join(f"%.{n}g" for n in precisions) + "\n"
     prec = np.tile(np.asarray(precisions, dtype=np.int64), step)
     sep = np.tile(np.array([44] * (cols - 1) + [10], dtype=np.uint64), step)
     for start in range(0, values.shape[0], step):
         block = values[start : start + step].ravel()
-        fixed = np.count_nonzero((block >= _FIXED_LO) & (block < _FIXED_HI))
-        if block.size >= _FAST_MIN_VALUES and fixed >= _FAST_MIN_SHARE * block.size:
-            fh.write(_format_g(block, prec[: block.size], sep[: block.size]))
-        else:
-            fh.write(line * (block.size // cols) % tuple(block.tolist()))
+        fh.write(_format_g(block, prec[: block.size], sep[: block.size]))
 
 
 def _cmd_eval(args) -> int:
@@ -348,28 +337,20 @@ def _cmd_measures(args) -> int:
     return 0
 
 
-def _max_rhos(p, d):  # the comonotone count law on {0, d}, as in max_measures_gfgm_p
-    return association._orthant_rhos(p, d, ((0, 1.0 - p), (d, p)))
-
-
 def _max_rho_c(p, d):
-    lo, up = _max_rhos(p, d)
+    lo, up = association._comonotone_rhos(p, d)
     return 0.5 * (lo + up)
-
-
-def _min_rhos(p, d):  # the END count law, as in min_measures_exchangeable
-    return association._orthant_rhos(p, d, _end_support(p, d))
 
 
 # --which -> (dimensions, the cell at a checked margin p and dimension d), each
 # from the kernels of ``max_measures_gfgm_p`` and ``min_measures_exchangeable``
 _TABLES = {
-    "rhoL-max": (MAX_TABLE_DS, lambda p, d: _max_rhos(p, d)[0]),
-    "rhoU-max": (MAX_TABLE_DS, lambda p, d: _max_rhos(p, d)[1]),
+    "rhoL-max": (MAX_TABLE_DS, lambda p, d: association._comonotone_rhos(p, d)[0]),
+    "rhoU-max": (MAX_TABLE_DS, lambda p, d: association._comonotone_rhos(p, d)[1]),
     "rhoC-max": (MAX_TABLE_DS, _max_rho_c),
     "tau-max": (MAX_TABLE_DS, association._comonotone_tau),
-    "rhoL-min": (MIN_TABLE_DS, lambda p, d: _min_rhos(p, d)[0]),
-    "rhoU-min": (MIN_TABLE_DS, lambda p, d: _min_rhos(p, d)[1]),
+    "rhoL-min": (MIN_TABLE_DS, lambda p, d: association._end_rhos(p, d)[0]),
+    "rhoU-min": (MIN_TABLE_DS, lambda p, d: association._end_rhos(p, d)[1]),
 }
 
 

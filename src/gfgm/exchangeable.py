@@ -38,6 +38,7 @@ from .bernoulli import (
     _end_support,
     _kernel_table,
     _Law,
+    _normalised,
     _popcount,
     validate_margin,
 )
@@ -81,13 +82,7 @@ class ExchangeableCountPmf(_Law):
         q = np.asarray(self.q, dtype=float)
         if q.shape != (self.d + 1,):
             raise InvalidDistributionError(f"count pmf needs d+1 = {self.d + 1} entries")
-        if not np.all(q >= -PROB_ATOL):  # also rejects NaN
-            raise InvalidDistributionError("count masses must be nonnegative numbers")
-        total = float(q.sum())
-        if not abs(total - 1.0) <= SUM_SLACK:
-            raise InvalidDistributionError(f"count masses sum to {total}, not 1")
-        q = np.clip(q, 0.0, None) / total
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _normalised(q, "count masses"))
         validate_margin(self.p)
 
     @property
@@ -397,7 +392,7 @@ def beta_moments(alpha: float, beta: float, order: int) -> np.ndarray:
         raise InvalidDistributionError("Beta parameters must be positive and finite")
     m = np.ones(order + 1)
     for k in range(1, order + 1):
-        m[k] = m[k - 1] * (alpha + k - 1) / (alpha + beta + k - 1)
+        m[k] = m[k - 1] * (alpha + (k - 1)) / ((alpha + beta) + (k - 1))
     return m
 
 
@@ -463,7 +458,7 @@ def _beta_binomial_count_pmf(alpha: float, beta: float, d: int) -> ExchangeableC
     """
     q0 = beta_moments(beta, alpha, d)[-1]  # 1 - Lambda ~ Beta(beta, alpha)
     k = np.arange(d)
-    ratios = (d - k) * (alpha + k) / ((k + 1) * (beta + d - 1 - k))
+    ratios = (d - k) * (alpha + k) / ((k + 1) * (beta + (d - 1 - k)))
     with np.errstate(over="ignore"):
         products = np.cumprod(ratios)
     if q0 >= np.finfo(float).tiny and np.all(products < np.inf):

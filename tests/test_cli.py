@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gfgm import ExchangeableCountPmf, association, cdf_epd, cli, sampling
-from gfgm.bernoulli import IndependenceLaw
+from gfgm.association import MEASURES_MAX_D
+from gfgm.bernoulli import MAX_DENSE_DIMENSION, MAX_DIMENSION, IndependenceLaw
 from gfgm.cli import MAX_PRECISION, main
 from gfgm.copula import NATURAL_FORM_MAX_D
 
@@ -258,6 +259,13 @@ class TestMeasures:
         assert float(rows["rho_cL"][4]) == pytest.approx(0.3333, abs=5e-5)
         assert float(rows["tau"][4]) == pytest.approx(0.2222, abs=5e-5)
         assert rows["rho_c"][1] == "closed_form"
+
+    @pytest.mark.parametrize("d", [10, 1000])
+    def test_beta_spec_with_small_parameters(self, capsys, d):
+        # a valid mixing law: its masses sum to 1 once the integers are added first
+        code, out, err = _run(capsys, ["measures", "--d", str(d), "--exchangeable", "beta:1e-8,1e-8"])
+        assert code == 0 and err == ""
+        assert out.startswith("measure,method,d,p,value\nrho_cL,closed_form,")
 
     def test_non_finite_beta_spec_exit_code(self, capsys):
         code, out, err = _run(capsys, ["measures", "--d", "3", "--exchangeable", "beta:nan,2"])
@@ -585,6 +593,44 @@ class TestSpecParsing:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert err == "error: counts imply d=1, but d=2 given\n"
+
+
+def _limit_argv(tmp_path, command, spec, d):
+    """argv of ``command`` on a ``spec`` of dimension d, as in the README limits table."""
+    if spec == "pmf-file":
+        pmf = tmp_path / f"pmf{d}.txt"
+        pmf.write_text(f"d={d}\n{'0' * d},0.5\n{'1' * d},0.2\n1{'0' * (d - 1)},0.3\n")
+        if command == "order-check":
+            spec_path = tmp_path / f"atoms{d}.spec"
+            spec_path.write_text(f"d={d}\npmf_file={pmf}\n")
+            return ["order-check", "--spec1", str(spec_path), "--spec2", str(spec_path)]
+        args = ["--pmf-file", str(pmf)]
+    elif spec == "exchangeable":
+        args = ["--d", str(d), "--exchangeable", "end:0.4"]
+    else:
+        args = ["--p", ",".join(["0.3"] * d)]
+    extra = {"eval": ["-u", ",".join(["0.6"] * d)], "sample": ["--n", "5", "--seed", "1"]}
+    return [command, *args, *extra.get(command, [])]
+
+
+_LIMIT_CELLS = [  # (command, spec, the largest d it takes, what its error names)
+    *[(cmd, "pmf-file", MAX_DIMENSION, f"[2, {MAX_DIMENSION}]") for cmd in ("measures", "eval", "sample")],
+    ("order-check", "pmf-file", MAX_DENSE_DIMENSION, f"d <= {MAX_DENSE_DIMENSION}"),
+    *[("measures", spec, MEASURES_MAX_D, f"d <= {MEASURES_MAX_D}") for spec in ("exchangeable", "p")],
+    *[("sample", spec, MAX_DENSE_DIMENSION, f"(d <= {MAX_DENSE_DIMENSION})") for spec in ("exchangeable", "p")],
+]
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+@pytest.mark.parametrize("command, spec, limit, named", _LIMIT_CELLS)
+def test_readme_limits_table(capsys, tmp_path, command, spec, limit, named, past):
+    # at each limit of the table the command succeeds; one past it, it exits 2 naming the limit
+    code, out, err = _run(capsys, _limit_argv(tmp_path, command, spec, limit + past))
+    if not past:
+        assert code == 0 and out and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert named in err and "Traceback" not in err
 
 
 def _pmf30_text():

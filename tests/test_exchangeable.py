@@ -34,6 +34,7 @@ from gfgm import (
     rho_cL,
     rho_cU,
 )
+from gfgm.exchangeable import _beta_binomial_count_pmf
 
 from conftest import random_exchangeable_count
 
@@ -361,6 +362,28 @@ class TestBetaMixture:
     def test_moments_recursion(self):
         m = beta_moments(1.0, 1.0, 4)
         assert m == pytest.approx([1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5])
+
+    @pytest.mark.parametrize("d", [10, 200, 1000])
+    @pytest.mark.parametrize("shape", [1e-8, 1e-4])
+    def test_small_parameters_match_mpmath(self, shape, d):
+        # a small alpha or beta keeps its low digits: the integers are added first
+        import mpmath
+
+        with mpmath.workdps(60):
+            a = b = mpmath.mpf(shape)
+            norm = mpmath.beta(a, b)
+            want = [
+                float(mpmath.binomial(d, k) * mpmath.beta(a + k, b + (d - k)) / norm)
+                for k in range(d + 1)
+            ]
+        cp = parse_exchangeable_spec(f"beta:{shape!r},{shape!r}", d=d)
+        np.testing.assert_allclose(cp.q, want, rtol=1e-13, atol=0)
+
+    def test_integer_parameters_keep_their_bits(self):
+        q = _beta_binomial_count_pmf(2.0, 3.0, 50).q
+        assert hashlib.sha256(q.tobytes()).hexdigest() == (
+            "05742f3ca2b3520137cc0078f2005e2d6c38bfef2ffac82c3e287878a27fd89a"
+        )
 
 
 class TestSpecStrings:

@@ -12,12 +12,20 @@ import gfgm
 from gfgm.bernoulli import IndependenceLaw, InvalidDistributionError, validate_margins
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded in a fresh interpreter after running ``code``."""
+def _third_party_modules_after(code):
+    """Top-level modules that running ``code`` loads in a fresh interpreter.
+
+    The standard library, numpy, gfgm and whatever the interpreter loaded
+    before ``code`` (``site`` hooks) are left out, so any other import shows.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(gfgm.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys\nbefore = set(sys.modules)\n" + code + "\nprint(sorted("
+        "{m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'numpy', 'gfgm'}))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -25,16 +33,25 @@ def _scipy_modules_after(code):
 
 
 def test_import_leaves_scipy_unloaded():
-    assert _scipy_modules_after("import sys, gfgm") == "[]"
+    assert _third_party_modules_after("import gfgm") == "[]"
 
 
 def test_quadrature_oracle_leaves_scipy_unloaded():
     code = (
-        "import sys, gfgm, gfgm.cli\n"
+        "import gfgm, gfgm.cli\n"
         "gfgm.measures_by_quadrature(gfgm.GfgmCopula.bivariate(0.4, 0.6, 0.5))\n"
         "assert gfgm.cli.main(['measures', '--p', '0.4,0.6', '--theta', '0.5', '--verify']) == 0"
     )
-    assert _scipy_modules_after(code) == "[]"
+    assert _third_party_modules_after(code) == "[]"
+
+
+def test_tables_command_loads_no_third_party_module(tmp_path):
+    # every fresh interpreter pays for what importing gfgm pulls in
+    out = tmp_path / "tau.csv"
+    argv = ["tables", "--which", "tau-max", "--out", str(out)]
+    code = f"import gfgm, gfgm.cli\nassert gfgm.cli.main({argv!r}) == 0"
+    assert _third_party_modules_after(code) == "[]"
+    assert out.read_text().startswith("# table tau-max\n")
 
 
 REFERENCE_NAMES = (

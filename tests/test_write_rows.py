@@ -13,11 +13,9 @@ from gfgm import cli
 
 
 def _written(precisions, values, chunk=None):
-    """``_write_rows`` with every chunk sent through ``_format_g``."""
+    """``_write_rows`` output, with chunks of ``chunk`` values when given."""
     buf = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_FAST_MIN_VALUES", 0)
-        mp.setattr(cli, "_FAST_MIN_SHARE", 0.0)
         if chunk is not None:
             mp.setattr(cli, "_WRITE_CHUNK_VALUES", chunk)
         cli._write_rows(buf, precisions, values)
@@ -110,20 +108,22 @@ class TestWriteRows:
         assert _written([10, 10, 12], values) == _percent([10, 10, 12], values)
 
     @pytest.mark.parametrize(
-        "values, fast_chunks",
+        "values, chunks",
         [
-            (np.full((40000, 1), 0.0), 0),  # out of range: one % per chunk, no vectorised pass
-            (np.full((40000, 1), 1e-30), 0),
-            (np.random.default_rng(1).uniform(size=(500, 1)), 0),  # too short to pay
-            (np.where(np.arange(4096) % 5 == 0, 0.0, 0.5).reshape(-1, 1), 0),  # 80% in range
-            (np.random.default_rng(2).uniform(size=(9000, 1)), 2),  # 4096 + 4096 + a short 808
+            (np.full((40000, 1), 0.0), 10),  # all out of range: every value by %
+            (np.full((40000, 1), 1e-30), 10),
+            (np.random.default_rng(1).uniform(size=(500, 1)), 1),
+            (np.where(np.arange(4096) % 5 == 0, 0.0, 0.5).reshape(-1, 1), 1),  # 80% in range
+            (np.random.default_rng(2).uniform(size=(9000, 1)), 3),  # 4096 + 4096 + a short 808
+            (np.full((1, 1), 0.25), 1),
+            (np.empty((0, 1)), 0),
         ],
     )
-    def test_routes_chunks_by_length_and_range(self, monkeypatch, values, fast_chunks):
+    def test_one_format_g_call_per_chunk(self, monkeypatch, values, chunks):
         calls = []
         format_g = cli._format_g
         monkeypatch.setattr(cli, "_format_g", lambda *a: calls.append(a[0].size) or format_g(*a))
         buf = io.StringIO()
         cli._write_rows(buf, [12], values)
         assert buf.getvalue() == _percent([12], values)
-        assert len(calls) == fast_chunks
+        assert len(calls) == chunks

@@ -280,7 +280,7 @@ class BernoulliPmf(_Law):
         keep = probs > 0.0
         object.__setattr__(self, "masks", masks[keep])
         object.__setattr__(self, "probs", probs[keep])
-        validate_margins(marginals(self))
+        validate_margins(self.margins)
 
     @classmethod
     def from_dict(cls, d: int, atoms: Mapping[int, float]) -> "BernoulliPmf":
@@ -304,7 +304,13 @@ class BernoulliPmf(_Law):
     def n_atoms(self) -> int:
         return self.masks.size
 
-    margins = property(lambda self: marginals(self))
+    @cached_property
+    def margins(self) -> np.ndarray:
+        """Read-only margins p_j, summed once by :func:`marginals`."""
+        p = marginals(self)
+        p.setflags(write=False)
+        return p
+
     outcomes = property(lambda self: (self.bits, self.probs))
 
     def as_atoms(self) -> "BernoulliPmf":
@@ -540,7 +546,7 @@ def theta_of(pmf: BernoulliPmf) -> float:
     """Dependence parameter E[(I_1 - p_1)(I_2 - p_2)] / (p_1 p_2) of a bivariate pmf."""
     if pmf.d != 2:
         raise InvalidDistributionError("theta is defined for d = 2 only")
-    p1, p2 = marginals(pmf)
+    p1, p2 = pmf.margins
     return (pmf.prob(0b11) - p1 * p2) / (p1 * p2)
 
 
@@ -555,7 +561,7 @@ def nu_coefficient(pmf: BernoulliPmf, subset: Iterable[int]) -> float:
         raise InvalidDistributionError("subset must be nonempty")
     if idx[0] < 0 or idx[-1] >= pmf.d:
         raise InvalidDistributionError("subset index out of range")
-    p = marginals(pmf)
+    p = pmf.margins
     acc = pmf.probs.copy()
     for j in idx:
         acc = acc * (pmf.bits[:, j] - p[j]) / p[j]

@@ -7,12 +7,13 @@ grids over p and d), ``sample`` (seeded batches as CSV), ``extremals``
 ``order-check`` (concordance order, decided exactly from the moments of the
 two Bernoulli laws).  All outputs are CSV with ``#``-prefixed metadata
 comments.
-When ``argv[0]`` names a command, ``main`` builds only that command's
-parser (``_COMMANDS`` holds each command's help, arguments and handler) and
-parses the rest of argv once; the top-level parser is built only to report
-arguments the command left unrecognized, under its usage line.  ``-h``, an
-empty argv or an unknown command gets the top-level parser with all seven
-subparsers, so help and errors read as they always have.  ``tables``
+A call that succeeds builds only its command's parser (``_COMMANDS`` holds
+each command's help, arguments and handler), which parses the rest of argv
+once.  Everything else (``-h``, an empty argv, an unknown command, arguments
+the command leaves unrecognized) is parsed by the full top-level parser with
+all seven subparsers; a missing or invalid value stops in the command's own
+parser, which words it as the subparser would.  So help and error text are
+unchanged, byte for byte.  ``tables``
 checks each p once and computes only the measure it prints, from the
 kernels that ``max_measures_gfgm_p`` and ``min_measures_exchangeable``
 share.
@@ -32,7 +33,6 @@ import argparse
 import contextlib
 import functools
 import sys
-from gettext import gettext
 
 import numpy as np
 
@@ -478,63 +478,48 @@ _COMMANDS = {
 }
 
 
-def _add_command(sub, name) -> argparse.ArgumentParser:
-    """Register command ``name`` with the subparsers action ``sub``; return its parser."""
-    help_text, add_args = _COMMANDS[name][:2]
-    p = sub.add_parser(name, help=help_text)
-    add_args(p)
-    p.add_argument("--out")
-    return p
+def _with_command_args(parser, name) -> argparse.ArgumentParser:
+    """``parser`` with command ``name``'s arguments, ``--out``, and its handler as ``func``."""
+    add_args, handler = _COMMANDS[name][1:]
+    add_args(parser)
+    parser.add_argument("--out")
+    parser.set_defaults(func=handler)
+    return parser
 
 
-def _build_parser(names) -> argparse.ArgumentParser:
-    """The top-level parser, with the subparsers of ``names`` only.
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of ``argv``, handler as ``func``; argparse exits 0 for help and 2 on errors.
 
-    ``main`` builds it with all seven for ``-h``, an empty argv or an
-    unknown command, and with none to report arguments that a command's own
-    parser left unrecognized.  With fewer than seven the usage line keeps
-    all seven names through ``metavar``; the full parser sets none, so its
-    "invalid choice" error still names the argument ``command``.
+    When ``argv[0]`` names a command, only that command's parser is built
+    (``prog`` "gfgm <command>", as a subparser's would be); its help, or a
+    missing or invalid value, ends the parse there, and when it takes all
+    of ``argv[1:]`` that is the whole parse.  Anything else (``-h``, an
+    empty argv, an unknown command, arguments the command left over) is
+    parsed by the top-level parser with all seven subparsers, which writes
+    the help or the error itself.
     """
+    if argv and argv[0] in _COMMANDS:
+        parser = _with_command_args(argparse.ArgumentParser(prog=f"gfgm {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
     parser = argparse.ArgumentParser(
         prog="gfgm",
         description="Bernoulli-driven generalized FGM copulas: evaluation, "
         "sampling, association measures, ordering checks.",
     )
-    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        _add_command(sub, name).set_defaults(func=_COMMANDS[name][2])
-    return parser
-
-
-def _parse(argv):
-    """(handler, namespace) of ``argv``; argparse exits 0 for help and 2 on errors.
-
-    When ``argv[0]`` names a command, only that command's parser is built,
-    by the same subparsers action the top-level parser uses (so its ``prog``
-    is "gfgm <command>"), and it parses ``argv[1:]`` once.  Each argument
-    costs argparse a translation lookup and a terminal-width probe, so the
-    top-level parser and a second level of parsing cost about what the
-    command's own parser costs.  Arguments it leaves unrecognized are
-    reported, as before, under the top-level usage line.
-    """
-    if argv and argv[0] in _COMMANDS:
-        sub = argparse._SubParsersAction([], prog="gfgm", parser_class=argparse.ArgumentParser)
-        args, extras = _add_command(sub, argv[0]).parse_known_args(argv[1:])
-        if extras:
-            _build_parser(()).error(gettext("unrecognized arguments: %s") % " ".join(extras))
-        return _COMMANDS[argv[0]][2], args
-    args = _build_parser(tuple(_COMMANDS)).parse_args(argv)
-    return args.func, args
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _with_command_args(sub.add_parser(name, help=help_text), name)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    handler, args = _parse(argv)
+    args = _parse(argv)
     try:
-        return handler(args)
+        return args.func(args)
     except OracleDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -29,7 +29,6 @@ from .bernoulli import (
     _subset_products,
     _subset_sums,
     check_theta,
-    marginals,
     pmf_to_moments,
     theta_of,
     validate_margin,
@@ -71,7 +70,7 @@ class BivariateGfgm:
 
     @classmethod
     def from_pmf(cls, pmf: BernoulliPmf) -> "BivariateGfgm":
-        p1, p2 = marginals(pmf)
+        p1, p2 = pmf.margins
         return cls(float(p1), float(p2), theta_of(pmf))
 
     def to_copula(self) -> GfgmCopula:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationReport, _prefactor
-from .bernoulli import BernoulliPmf, marginals
+from .bernoulli import BernoulliPmf
 from .copula import GfgmCopula
 
 GENERATOR_ID = "philox4x64-ss3-v1"
@@ -100,7 +100,7 @@ def sample(c: GfgmCopula, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise ValueError("n must be positive")
     pmf = c.bernoulli
-    p = c.p if c._p_given else marginals(pmf)
+    p = c.p if c._p_given else pmf.margins
     gen_i, gen_u0, gen_u1 = _spawn_generators(seed)
     masks = _categorical_masks(pmf, n, gen_i)
     u0 = _open_uniform(gen_u0, (n, c.d))

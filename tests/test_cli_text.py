@@ -1,7 +1,8 @@
 """The text of ``gfgm``'s usage lines, help and argument errors, byte for byte.
 
-``main`` builds only the parser of the command it runs, so these pins check
-that such a parser writes what the parser holding all seven writes.
+A call that succeeds builds only its command's parser; help and errors come
+from the parser holding all seven, or from the command's own parser when it
+stops first.  These pins check that both write what they always wrote.
 """
 
 import argparse
@@ -275,12 +276,6 @@ def registered(monkeypatch):
     return names
 
 
-@pytest.mark.parametrize("name", COMMANDS)
-def test_a_known_command_registers_only_its_subparser(capsys, registered, name):
-    _run(capsys, [name, "--bogus"])
-    assert registered == [name]
-
-
 def test_help_registers_and_lists_all_seven_in_order(capsys, registered):
     code, out, _ = _run(capsys, ["-h"])
     assert code == 0 and registered == list(COMMANDS)
@@ -288,7 +283,20 @@ def test_help_registers_and_lists_all_seven_in_order(capsys, registered):
     assert listed == list(COMMANDS)
 
 
-@pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "eval"]])
+# each command with its required arguments, so "--bogus" is left over; a
+# missing required argument is reported by the command's own parser
+_LEFT_OVER = [
+    ["eval", "-u", "0.5,0.5", "--bogus"],
+    ["pdf-grid", "--bogus"],
+    ["measures", "--bogus"],
+    ["tables", "--which", "tau-max", "--bogus"],
+    ["sample", "--n", "1", "--seed", "0", "--bogus"],
+    ["extremals", "--p", "0.5", "--d", "2", "--bogus"],
+    ["order-check", "--spec1", "a", "--spec2", "b", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "eval"]] + _LEFT_OVER)
 def test_any_other_argv_registers_all_seven(capsys, registered, argv):
     assert _run(capsys, argv)[0] == 2
     assert registered == list(COMMANDS)

@@ -17,6 +17,7 @@ from gfgm import (
     GfgmCopula,
     InvalidDistributionError,
     MixtureSpec,
+    beta_mixture_copula,
     build_copula,
     cdf,
     cdf_epd,
@@ -179,6 +180,24 @@ def test_measures_take_the_laws_structure(monkeypatch):
     for c in (sparse, shaped):
         with pytest.raises(AssertionError, match="generic route"):
             measures(c)
+
+
+def test_count_law_outcome_rows_agree_with_the_atoms(monkeypatch):
+    # a shape vector that is not exactly constant, or a kernel with a zero
+    # value, takes the count law's outcome rows instead of its support sum
+    law = beta_mixture_copula(2, 3, 12).law
+    p = np.full(12, law.p)
+    p[3] += 5e-11
+    rows = []
+    generic = _Law.pair_sum
+    monkeypatch.setattr(_Law, "pair_sum", lambda self, kernel: rows.append(self) or generic(self, kernel))
+    got, want = measures(GfgmCopula(law, p)), measures(GfgmCopula(expand(law), p))
+    assert rows == [law]
+    for name in ("rho_cL", "rho_cU", "tau"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+    kernel = (0.0, 0.3, -0.7, 1.1)
+    assert law.pair_sum(kernel) == pytest.approx(expand(law).pair_sum(kernel), rel=1e-12)
+    assert rows == [law, law]
 
 
 LAWS = {

@@ -171,3 +171,44 @@ def test_one_margin_domain(route):
         with pytest.raises(InvalidDistributionError, match=r"\(1e-12, 1 - 1e-12\)"):
             build(p)
     build(2e-12)
+
+
+def test_numpy_floor_has_bitwise_count():
+    # bernoulli._popcount calls np.bitwise_count, new in NumPy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    floors = [dep.partition(">=")[2] for dep in deps if dep.startswith("numpy")]
+    assert len(floors) == 1
+    assert tuple(int(part) for part in floors[0].split(".")[:2]) >= (2, 0)
+
+
+def _private_argparse_uses(tree):
+    """Lines that read an ``argparse`` attribute starting with "_", or import gettext."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            private = node.attr.startswith("_") and getattr(node.value, "id", None) == "argparse"
+        elif isinstance(node, ast.Import):
+            private = any(alias.name.partition(".")[0] == "gettext" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").partition(".")[0]
+            private = module == "gettext" or (
+                module == "argparse" and any(alias.name.startswith("_") for alias in node.names)
+            )
+        else:
+            continue
+        if private:
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_uses_private_argparse():
+    # the CLI parses through argparse's public API; its own error text needs no gettext
+    package = pathlib.Path(gfgm.__file__).parent
+    uses = {
+        module.name: lines
+        for module in sorted(package.glob("*.py"))
+        if (lines := _private_argparse_uses(ast.parse(module.read_text(), filename=str(module))))
+    }
+    assert uses == {}

@@ -46,6 +46,7 @@ from .bernoulli import (
     IndependenceLaw,
     InvalidDistributionError,
     _end_support,
+    validate_dimension,
     validate_margin,
 )
 from .copula import SHAPE_ATOL, GfgmCopula, _cdf_factors, _pdf_factors
@@ -206,7 +207,7 @@ def max_measures_gfgm_p(p: float, d: int) -> AssociationReport:
     generic formulas applied to the comonotone law.
     """
     p = validate_margin(p)
-    d = int(d)
+    d = validate_dimension(d)
     lo, up = _comonotone_rhos(p, d)
     return AssociationReport(lo, up, 0.5 * (lo + up), _comonotone_tau(p, d), d, "closed_form")
 
@@ -221,7 +222,7 @@ def min_measures_exchangeable(p: float, d: int) -> tuple[float, float]:
     atom-level computation on the expanded pmf.
     """
     p = validate_margin(p)
-    d = int(d)
+    d = validate_dimension(d)
     return _end_rhos(p, d)
 
 

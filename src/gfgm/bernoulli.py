@@ -77,6 +77,25 @@ _BLOCK_SIZE = 1 << BLOCK_BITS
 #: Float64 elements in the transient working set of ``expect_products`` (1 MB).
 CHUNK_ELEMENTS = 1 << 17
 
+__all__ = [
+    "BernoulliPmf",
+    "InvalidDistributionError",
+    "comonotonic",
+    "complemented",
+    "countermonotonic_bivariate",
+    "from_theta_bivariate",
+    "independent",
+    "load_pmf_file",
+    "marginals",
+    "moments_to_pmf",
+    "nu_all",
+    "nu_coefficient",
+    "pmf_to_moments",
+    "save_pmf_file",
+    "theta_bounds",
+    "theta_of",
+]
+
 
 class InvalidDistributionError(ValueError):
     """Raised when a pmf, moment sequence or parameter set is inadmissible."""
@@ -107,6 +126,18 @@ def validate_margin(p) -> float:
     if not PROB_ATOL < p < _MARGIN_HI:  # also rejects NaN
         raise InvalidDistributionError(f"margin {p!r} must lie in {_MARGIN_DOMAIN}")
     return p
+
+
+def validate_dimension(d) -> int:
+    """Check that a dimension is integral (10.0 passes, 10.7 does not); return it as an int.
+
+    The range checks (d >= 2 and each route's upper limit) stay with the caller.
+    """
+    if isinstance(d, (int, np.integer)):
+        return int(d)
+    if isinstance(d, (float, np.floating)) and float(d).is_integer():  # not NaN or inf
+        return int(d)
+    raise InvalidDistributionError(f"dimension must be an integer, got {d!r}")
 
 
 def validate_margins(p) -> np.ndarray:
@@ -262,6 +293,7 @@ class BernoulliPmf(_Law):
     probs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "d", validate_dimension(self.d))
         if not 2 <= self.d <= MAX_DIMENSION:
             raise InvalidDistributionError(f"dimension must be in [2, {MAX_DIMENSION}]")
         masks = np.asarray(self.masks, dtype=np.int64)

@@ -40,6 +40,7 @@ from .bernoulli import (
     _Law,
     _normalised,
     _popcount,
+    validate_dimension,
     validate_margin,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
@@ -77,6 +78,7 @@ class ExchangeableCountPmf(_Law):
     q: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "d", validate_dimension(self.d))
         if self.d < 2:
             raise InvalidDistributionError("dimension must be >= 2")
         q = np.asarray(self.q, dtype=float)
@@ -262,6 +264,7 @@ def count_pmf_of(pmf: BernoulliPmf, tol: float = 1e-12) -> ExchangeableCountPmf:
 def comonotone_count_pmf(p: float, d: int) -> ExchangeableCountPmf:
     """Count pmf of the comonotone vector: all-zeros w.p. 1-p, all-ones w.p. p."""
     p = validate_margin(p)
+    d = validate_dimension(d)
     q = np.zeros(d + 1)
     q[0], q[d] = 1.0 - p, p
     return ExchangeableCountPmf(d, q)
@@ -277,6 +280,7 @@ def _extremal_rows(p: float, d: int):
     memory, not the O(d^3) of all the laws.
     """
     p = validate_margin(p)
+    d = validate_dimension(d)
     if d < 2:
         raise InvalidDistributionError("dimension must be >= 2")
     support = _end_support(p, d)
@@ -296,7 +300,7 @@ def extremal_count_pmfs(p: float, d: int) -> list[ExchangeableCountPmf]:
     degenerate law at pd joins the list.  Every count pmf with mean pd is a
     convex combination of these.
     """
-    d = int(d)
+    d = validate_dimension(d)
     out: list[ExchangeableCountPmf] = []
     for j1, j2, w1, w2 in _extremal_rows(p, d):
         q = np.zeros(d + 1)
@@ -314,7 +318,7 @@ def end_count_pmf(p: float, d: int) -> ExchangeableCountPmf:
     lower bound of the exchangeable class.
     """
     p = validate_margin(p)
-    d = int(d)
+    d = validate_dimension(d)
     q = np.zeros(d + 1)
     for k, w in _end_support(p, d):
         q[k] = w
@@ -403,7 +407,7 @@ def mixture_count_pmf(spec: MixtureSpec, d: int) -> ExchangeableCountPmf:
     (non-Hausdorff) moment sequence shows up as genuinely negative mass and
     is rejected, while round-off-level negatives are clipped.
     """
-    d = int(d)
+    d = validate_dimension(d)
     q = np.zeros(d + 1)
     if spec.nodes is not None:
         for k in range(d + 1):
@@ -437,7 +441,7 @@ def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
     polynomial in Lambda (the weight-class sums) and contracts it with
     E[Lambda^k]; equals the cdf of the expanded exchangeable copula.
     """
-    d = int(d)
+    d = validate_dimension(d)
     p = validate_margin(spec.moment(1))  # the mixture mean E[Lambda]
     pts, single = _as_points(u, d)
     x = _pow_log(pts, 1.0 / (1.0 - p))
@@ -475,7 +479,7 @@ def _beta_binomial_count_pmf(alpha: float, beta: float, d: int) -> ExchangeableC
 
 def beta_mixture_copula(alpha: float, beta: float, d: int) -> GfgmCopula:
     """Exchangeable copula mixed by Beta(alpha, beta); margin alpha/(alpha+beta)."""
-    return GfgmCopula(_beta_binomial_count_pmf(alpha, beta, int(d)))
+    return GfgmCopula(_beta_binomial_count_pmf(alpha, beta, validate_dimension(d)))
 
 
 def measures_exchangeable(cp: ExchangeableCountPmf) -> AssociationReport:

@@ -31,6 +31,7 @@ from .bernoulli import (
     check_theta,
     pmf_to_moments,
     theta_of,
+    validate_dimension,
     validate_margin,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
@@ -122,7 +123,7 @@ def cdf_epd(p: float, d: int, u):
     pinned by the tests).
     """
     p = validate_margin(p)
-    pts, single = _as_points(u, int(d))
+    pts, single = _as_points(u, validate_dimension(d))
     x = _pow_log(pts, 1.0 / (1.0 - p))
     lower = np.prod(x, axis=1)
     upper = np.prod((pts - (1.0 - p) * x) / p, axis=1)

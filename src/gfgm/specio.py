@@ -23,6 +23,8 @@ from .bernoulli import InvalidDistributionError, load_pmf_file
 from .copula import GfgmCopula
 from .exchangeable import parse_exchangeable_spec
 
+__all__ = ["build_copula", "load_copula_spec"]
+
 _KEYS = {"d", "p", "pmf_file", "exchangeable", "theta"}
 
 

@@ -13,10 +13,12 @@ from gfgm import (
     countermonotonic_bivariate,
     from_theta_bivariate,
     independent,
+    load_pmf_file,
     marginals,
     moments_to_pmf,
     nu_coefficient,
     pmf_to_moments,
+    save_pmf_file,
     theta_bounds,
     theta_of,
 )
@@ -278,6 +280,22 @@ class TestTextFormat:
         # a second header used to replace the first one silently
         with pytest.raises(InvalidDistributionError, match="duplicate"):
             parse_pmf_text("d=3\nd=2\n00,0.5\n11,0.5\n")
+
+    def test_file_round_trip(self, rng, tmp_path):
+        # the text holds every float exactly; loading builds the pmf from it anew
+        pmf = random_sparse_pmf(rng, 30, n_atoms=256)
+        path = tmp_path / "pmf.txt"
+        save_pmf_file(pmf, path)
+        again = load_pmf_file(path)
+        rebuilt = BernoulliPmf(pmf.d, pmf.masks, pmf.probs)
+        assert again.d == pmf.d == 30
+        assert again.masks.tobytes() == pmf.masks.tobytes()
+        assert again.probs.tobytes() == rebuilt.probs.tobytes()
+        assert again.probs == pytest.approx(pmf.probs, rel=1e-15, abs=0.0)
+
+    def test_repr_lists_the_atoms(self):
+        pmf = BernoulliPmf.from_bitstrings({"100": 0.25, "011": 0.75})
+        assert repr(pmf) == "BernoulliPmf(d=3, {100:0.25, 011:0.75})"
 
     def test_bitstring_round_trip(self):
         assert mask_to_bitstring(bitstring_to_mask("0110"), 4) == "0110"

@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfgm import ExchangeableCountPmf, association, cdf_epd, cli, sampling
+from gfgm import (
+    ExchangeableCountPmf,
+    association,
+    build_copula,
+    cdf,
+    cdf_epd,
+    cli,
+    end_count_pmf,
+    sampling,
+)
 from gfgm.association import MEASURES_MAX_D
 from gfgm.bernoulli import MAX_DENSE_DIMENSION, MAX_DIMENSION, IndependenceLaw
 from gfgm.cli import MAX_PRECISION, main
@@ -141,6 +150,21 @@ class TestEval:
         code, out, _ = _run(capsys, ["eval", "--spec", spec, "-u", "0.5,0.5"])
         assert code == 0
         assert float(out) == pytest.approx(0.3125)
+
+    def test_spec_file_with_comments_and_blank_lines(self, capsys, spec_file):
+        text = "# bivariate closed form\n\nd=2\n  # margins\np=0.4,0.6\n\ntheta=0.5\n"
+        spec = spec_file("cop.spec", text)
+        code, out, _ = _run(capsys, ["eval", "--spec", spec, "-u", "0.3,0.7"])
+        inline = ["eval", "--p", "0.4,0.6", "--theta", "0.5", "-u", "0.3,0.7"]
+        assert code == 0 and _run(capsys, inline) == (0, out, "")
+
+    def test_exchangeable_dimension_from_p(self, capsys):
+        c = build_copula(exchangeable="end:0.3", p=[0.3] * 3)
+        assert c.d == 3 and c.law.q.tolist() == end_count_pmf(0.3, 3).q.tolist()
+        argv = ["eval", "--exchangeable", "end:0.3", "--p", "0.3,0.3,0.3", "-u", "0.5,0.5,0.5"]
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == ""
+        assert out == "%.12g\n" % cdf(c, [0.5, 0.5, 0.5])
 
     def test_exchangeable_spec_inline(self, capsys):
         code, out, _ = _run(

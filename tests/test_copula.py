@@ -204,6 +204,12 @@ class TestSurvival:
         pts = rng.uniform(0, 1, size=(30, d))
         assert survival(c, pts) == pytest.approx(survival_by_cdf(c, pts), abs=1e-12)
 
+    def test_copula_methods_are_the_module_functions(self, rng):
+        c = random_copula(rng, 4)
+        pts = rng.uniform(0, 1, size=(20, 4))
+        for method, function in ((c.cdf, cdf), (c.pdf, pdf), (c.survival, survival)):
+            assert np.array_equal(method(pts), function(c, pts))
+
     def test_survival_at_origin_is_one(self, rng):
         c = random_copula(rng, 3)
         assert survival(c, np.zeros(3)) == pytest.approx(1.0, abs=1e-14)

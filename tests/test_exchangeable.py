@@ -110,6 +110,14 @@ class TestExpand:
         cp = random_exchangeable_count(rng, 5)
         assert count_pmf_of(expand(cp)).q == pytest.approx(cp.q, abs=1e-14)
 
+    @pytest.mark.parametrize("p, d", [(0.3, 4), (0.1, 8), (0.7, 12)])
+    def test_count_pmf_of_with_empty_weight_classes(self, p, d):
+        # the end law leaves every class but floor(pd) and ceil(pd) empty
+        want = end_count_pmf(p, d).q
+        got = count_pmf_of(end_pmf(p, d)).q
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_count_pmf_of_rejects_asymmetric(self):
         pmf = BernoulliPmf.from_bitstrings({"00": 0.4, "01": 0.35, "10": 0.15, "11": 0.1})
         with pytest.raises(InvalidDistributionError):

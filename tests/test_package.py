@@ -1,15 +1,18 @@
 """Package-level properties: what importing gfgm pulls in, and what each module owns."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gfgm
-from gfgm.bernoulli import IndependenceLaw, InvalidDistributionError, validate_margins
+from gfgm.bernoulli import BernoulliPmf, IndependenceLaw, InvalidDistributionError, validate_margins
+from gfgm.exchangeable import ExchangeableCountPmf, _extremal_rows
 
 
 def _third_party_modules_after(code):
@@ -52,6 +55,31 @@ def test_tables_command_loads_no_third_party_module(tmp_path):
     code = f"import gfgm, gfgm.cli\nassert gfgm.cli.main({argv!r}) == 0"
     assert _third_party_modules_after(code) == "[]"
     assert out.read_text().startswith("# table tau-max\n")
+
+
+def _re_exported_modules():
+    """Modules named by the ``from .<module> import *`` lines of ``gfgm/__init__.py``, in order."""
+    init = pathlib.Path(gfgm.__file__)
+    tree = ast.parse(init.read_text(), filename=str(init))
+    return [
+        importlib.import_module(f"gfgm.{node.module}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [alias.name for alias in node.names] == ["*"]
+    ]
+
+
+def test_package_re_exports_every_module_all():
+    # each public name is declared once, in the __all__ of the module that defines it
+    modules = _re_exported_modules()
+    package = pathlib.Path(gfgm.__file__).parent
+    stems = {m.stem for m in package.glob("*.py")} - {"__init__", "cli"}
+    assert {m.__name__.rpartition(".")[2] for m in modules} == stems
+    assert [m.__name__ for m in modules if "__all__" not in vars(m)] == []
+    assert gfgm.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(gfgm.__all__)) == len(gfgm.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gfgm, name) is getattr(module, name), name
 
 
 REFERENCE_NAMES = (
@@ -171,6 +199,34 @@ def test_one_margin_domain(route):
         with pytest.raises(InvalidDistributionError, match=r"\(1e-12, 1 - 1e-12\)"):
             build(p)
     build(2e-12)
+
+
+_BETA_12 = gfgm.MixtureSpec.beta(2.0, 3.0, 12)
+_DIMENSION_ROUTES = {
+    "BernoulliPmf": lambda d: BernoulliPmf(d, [0, 1023], [0.5, 0.5]),
+    "ExchangeableCountPmf": lambda d: ExchangeableCountPmf(d, [0.5] + [0.0] * 9 + [0.5]).q,
+    "comonotone_count_pmf": lambda d: gfgm.comonotone_count_pmf(0.3, d).q,
+    "_extremal_rows": lambda d: list(_extremal_rows(0.3, d)),
+    "extremal_count_pmfs": lambda d: [cp.q for cp in gfgm.extremal_count_pmfs(0.3, d)],
+    "end_count_pmf": lambda d: gfgm.end_count_pmf(0.3, d).q,
+    "mixture_count_pmf": lambda d: gfgm.mixture_count_pmf(_BETA_12, d).q,
+    "mixture_copula_cdf": lambda d: gfgm.mixture_copula_cdf(_BETA_12, d, [0.5] * 10),
+    "beta_mixture_copula": lambda d: gfgm.beta_mixture_copula(2.0, 3.0, d).law.q,
+    "max_measures_gfgm_p": lambda d: gfgm.max_measures_gfgm_p(0.3, d),
+    "min_measures_exchangeable": lambda d: gfgm.min_measures_exchangeable(0.3, d),
+    "cdf_epd": lambda d: gfgm.cdf_epd(0.3, d, [0.5] * 10),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_DIMENSION_ROUTES))
+def test_one_dimension_rule(route):
+    # an integral d passes as an int, whatever its type; anything else raises
+    build = _DIMENSION_ROUTES[route]
+    for d in (10.7, 2.5, float("nan")):
+        with pytest.raises(InvalidDistributionError, match=r"dimension must be an integer, got "):
+            build(d)
+    want = repr(build(10))
+    assert repr(build(np.int64(10))) == repr(build(10.0)) == want
 
 
 def test_numpy_floor_has_bitwise_count():

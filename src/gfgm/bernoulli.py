@@ -684,12 +684,16 @@ def parse_pmf_text(text: str) -> BernoulliPmf:
         if line.startswith("d="):
             if d is not None:
                 raise InvalidDistributionError("duplicate 'd=<dim>' header line")
-            d = int(line[2:])
+            try:
+                d = int(line[2:])
+            except ValueError:
+                raise InvalidDistributionError(f"malformed pmf header line: {line!r}") from None
             continue
         if d is None:
             raise InvalidDistributionError("missing 'd=<dim>' header line before the atoms")
         try:
             bit_s, prob_s = line.split(",")
+            prob = float(prob_s)
         except ValueError as exc:
             raise InvalidDistributionError(f"malformed pmf line: {line!r}") from exc
         mask = bitstring_to_mask(bit_s.strip())
@@ -699,7 +703,7 @@ def parse_pmf_text(text: str) -> BernoulliPmf:
             )
         if mask in atoms:
             raise InvalidDistributionError(f"duplicate outcome {bit_s!r}")
-        atoms[mask] = float(prob_s)
+        atoms[mask] = prob
     if d is None:
         raise InvalidDistributionError("missing 'd=<dim>' header line")
     return BernoulliPmf.from_dict(d, atoms)

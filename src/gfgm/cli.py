@@ -39,7 +39,7 @@ import numpy as np
 from . import association, exchangeable, sampling
 from .bernoulli import InvalidDistributionError, validate_margin
 from .copula import cdf, cdf_natural, pdf
-from .specio import build_copula, load_copula_spec
+from .specio import _KEYS as _SPEC_KEYS, build_copula, load_copula_spec
 
 MAX_TABLE_DS = (2, 3, 5, 8, 10, 15, 20, 50, 100)
 MIN_TABLE_DS = (2, 3, 4, 5, 8, 10, 15)
@@ -65,28 +65,21 @@ class OracleDisagreement(Exception):
 
 def _add_copula_args(parser):
     parser.add_argument("--spec", help="copula specification file")
-    parser.add_argument("--d", type=int, help="dimension")
+    parser.add_argument("--d", help="dimension")
     parser.add_argument("--p", help="comma-separated shape vector")
-    parser.add_argument("--theta", type=float, help="bivariate dependence parameter")
+    parser.add_argument("--theta", help="bivariate dependence parameter")
     parser.add_argument("--pmf-file", help="atom-form pmf file")
     parser.add_argument("--exchangeable", help="counts:/end:/comonotone:/beta: spec")
 
 
 def _copula_from_args(args):
-    if args.spec is not None:
-        for name in ("d", "p", "theta", "pmf_file", "exchangeable"):
-            if getattr(args, name) is not None:
-                raise InvalidDistributionError(
-                    "give either a spec file or inline copula flags, not both"
-                )
-        return load_copula_spec(args.spec)
-    return build_copula(
-        d=args.d,
-        p=[float(s) for s in args.p.split(",")] if args.p is not None else None,
-        pmf_file=args.pmf_file,
-        exchangeable=args.exchangeable,
-        theta=args.theta,
-    )
+    """The copula of ``--spec``, or of the inline flags' text, which ``build_copula`` reads."""
+    fields = {key: getattr(args, key) for key in _SPEC_KEYS}
+    if args.spec is None:
+        return build_copula(**fields)
+    if any(value is not None for value in fields.values()):
+        raise InvalidDistributionError("give either a spec file or inline copula flags, not both")
+    return load_copula_spec(args.spec)
 
 
 @contextlib.contextmanager
@@ -257,10 +250,14 @@ def _write_rows(fh, precisions, values) -> None:
 
 def _cmd_eval(args) -> int:
     c = _copula_from_args(args)
-    rows = [[float(s) for s in spec.split(",")] for spec in args.u]
-    for spec, row in zip(args.u, rows):
-        if len(row) != c.d:
-            raise ValueError(f"point -u {spec} has dimension {len(row)}, expected d={c.d}")
+    rows = []
+    for spec in args.u:
+        try:
+            rows.append([float(s) for s in spec.split(",")])
+        except ValueError:
+            raise ValueError(f"point -u {spec} is not comma-separated reals") from None
+        if len(rows[-1]) != c.d:
+            raise ValueError(f"point -u {spec} has dimension {len(rows[-1])}, expected d={c.d}")
     pts = np.array(rows)
     forms = (cdf_natural, cdf) if args.natural else (cdf, cdf_natural)
     values = forms[0](c, pts)

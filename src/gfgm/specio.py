@@ -10,7 +10,8 @@ A spec is plain text, one ``key=value`` per line (``#`` comments allowed):
 
 At most one of the three dependence sources may appear; with none, ``p``
 alone denotes the independence copula.  Relative pmf paths resolve against
-the spec file's directory.
+the spec file's directory.  ``build_copula`` converts the text of ``d``,
+``p`` and ``theta``, from a spec file and from the CLI's copula flags alike.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .exchangeable import parse_exchangeable_spec
 
 __all__ = ["build_copula", "load_copula_spec"]
 
-_KEYS = {"d", "p", "pmf_file", "exchangeable", "theta"}
+_KEYS = ("d", "p", "pmf_file", "exchangeable", "theta")
 
 
 def parse_spec_text(text: str) -> dict[str, str]:
@@ -44,34 +45,38 @@ def parse_spec_text(text: str) -> dict[str, str]:
     return cfg
 
 
+def _parsed(key: str, value, convert, kind: str):
+    """``value``, or ``convert(value)`` when it is text; text that does not parse raises naming ``key``."""
+    try:
+        return convert(value) if isinstance(value, str) else value
+    except ValueError:
+        raise InvalidDistributionError(f"{key} must be {kind}, got {value!r}") from None
+
+
 def build_copula(
-    d: int | None = None,
+    d: int | str | None = None,
     p=None,
     pmf_file: str | None = None,
     exchangeable: str | None = None,
-    theta: float | None = None,
+    theta: float | str | None = None,
     base_dir: str = ".",
 ) -> GfgmCopula:
-    """Assemble a copula from spec fields, enforcing single-source rules."""
-    sources = [s is not None for s in (pmf_file, exchangeable, theta)]
-    if sum(sources) > 1:
-        raise InvalidDistributionError(
-            "give at most one of pmf_file, exchangeable, theta"
-        )
+    """Assemble a copula from spec fields, typed or as text, enforcing single-source rules."""
+    d = _parsed("d", d, int, "an integer")
+    p = _parsed("p", p, lambda text: [float(s) for s in text.split(",")], "comma-separated reals")
+    theta = _parsed("theta", theta, float, "a real number")
+    if sum(s is not None for s in (pmf_file, exchangeable, theta)) > 1:
+        raise InvalidDistributionError("give at most one of pmf_file, exchangeable, theta")
     p_arr = None if p is None else np.asarray(p, dtype=float)
     if pmf_file is not None:
-        path = pmf_file
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        pmf = load_pmf_file(path)
+        pmf = load_pmf_file(os.path.join(base_dir, pmf_file))  # an absolute pmf_file stays as it is
         if d is not None and pmf.d != d:
             raise InvalidDistributionError(f"pmf has d={pmf.d}, spec says d={d}")
         return GfgmCopula(pmf, p_arr)
     if exchangeable is not None:
         if d is None and p_arr is not None:
             d = p_arr.size
-        cp = parse_exchangeable_spec(exchangeable, d)
-        return GfgmCopula(cp, p_arr)
+        return GfgmCopula(parse_exchangeable_spec(exchangeable, d), p_arr)
     if theta is not None:
         if p_arr is None or p_arr.size != 2:
             raise InvalidDistributionError("theta form needs p with exactly 2 entries")
@@ -79,9 +84,7 @@ def build_copula(
             raise InvalidDistributionError("theta form is bivariate (d=2)")
         return GfgmCopula.bivariate(float(p_arr[0]), float(p_arr[1]), float(theta))
     if p_arr is None:
-        raise InvalidDistributionError(
-            "spec needs p (independence) or one dependence source"
-        )
+        raise InvalidDistributionError("spec needs p (independence) or one dependence source")
     if d is not None and d != p_arr.size:
         raise InvalidDistributionError(f"p has {p_arr.size} entries, spec says d={d}")
     return GfgmCopula.independence(p_arr)
@@ -90,11 +93,4 @@ def build_copula(
 def load_copula_spec(path: str) -> GfgmCopula:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = parse_spec_text(fh.read())
-    return build_copula(
-        d=int(cfg["d"]) if "d" in cfg else None,
-        p=[float(s) for s in cfg["p"].split(",")] if "p" in cfg else None,
-        pmf_file=cfg.get("pmf_file"),
-        exchangeable=cfg.get("exchangeable"),
-        theta=float(cfg["theta"]) if "theta" in cfg else None,
-        base_dir=os.path.dirname(os.path.abspath(path)),
-    )
+    return build_copula(**cfg, base_dir=os.path.dirname(os.path.abspath(path)))

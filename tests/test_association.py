@@ -160,7 +160,8 @@ class TestExtremeClosedForms:
     def test_digest(self):
         # SHA-256 of the float64 bytes of both extreme closed forms over
         # p = k/1000, recorded before they were rewritten as power sums over
-        # a count support; any change in their order of operations shows
+        # a count support; any change in their order of operations shows.
+        # Layer: libm through Python floats (each power is libm's pow).
         values = []
         for d in _EXTREME_DS:
             for k in range(1, 1000):

@@ -308,6 +308,7 @@ class TestByteStability:
     exact powers of -2, so the SHA-256 digests do not depend on the
     platform's libm.  A changed digest means a changed GENERATOR_ID stream
     or a changed summation order.
+    Layer: numpy-ordered sums only (elementwise butterflies, cumsum), no BLAS or SIMD power.
     """
 
     DIGESTS = {

@@ -1,6 +1,7 @@
 """Command-line surface: spec files, CSV outputs, exit codes."""
 
 import hashlib
+import math
 import os
 import tracemalloc
 
@@ -9,16 +10,21 @@ import pytest
 
 from gfgm import (
     ExchangeableCountPmf,
+    GfgmCopula,
     association,
     build_copula,
     cdf,
     cdf_epd,
     cli,
     end_count_pmf,
+    expand,
+    independent,
+    load_pmf_file,
+    min_measures_exchangeable,
     sampling,
 )
 from gfgm.association import MEASURES_MAX_D
-from gfgm.bernoulli import MAX_DENSE_DIMENSION, MAX_DIMENSION, IndependenceLaw
+from gfgm.bernoulli import MAX_DENSE_DIMENSION, MAX_DIMENSION, IndependenceLaw, _Law
 from gfgm.cli import MAX_PRECISION, main
 from gfgm.copula import NATURAL_FORM_MAX_D
 
@@ -523,7 +529,8 @@ class TestExtremals:
 
 
 # SHA-256 of ``extremals --p P --d D`` output, recorded while the command still
-# built every ExchangeableCountPmf before writing
+# built every ExchangeableCountPmf before writing.
+# Layer: Python float + - / only, each correctly rounded; no BLAS, SIMD or libm.
 EXTREMAL_DIGESTS = {
     (0.37, 3): "92351ad627852aaccbfd5cf112e158834b1e3e355ef2249c8022173e72896c89",
     (0.5, 3): "b9d1468e51ef9a593447d94795714ff63f7c30bf5da486514cc8e63ff62719d5",
@@ -618,6 +625,25 @@ class TestSpecParsing:
         assert code == 2 and out == ""
         assert err == "error: counts imply d=1, but d=2 given\n"
 
+    @pytest.mark.parametrize(
+        "text, typed",
+        [
+            ({"p": "0.1,0.35,0.7"}, {"p": [0.1, 0.35, 0.7]}),
+            ({"d": "2", "p": "0.3,0.8", "theta": "-0.4"}, {"d": 2, "p": [0.3, 0.8], "theta": -0.4}),
+            ({"d": "6", "exchangeable": "end:0.35"}, {"d": 6, "exchangeable": "end:0.35"}),
+            ({"d": "2", "pmf_file": "pmf", "p": "0.5,0.5"}, {"d": 2, "pmf_file": "pmf", "p": [0.5, 0.5]}),
+        ],
+        ids=["p", "theta", "exchangeable", "pmf_file"],
+    )
+    def test_text_fields_build_the_typed_copula(self, tmp_path, text, typed):
+        (tmp_path / "pmf").write_text("d=2\n00,0.4\n01,0.1\n10,0.1\n11,0.4\n")
+        got = build_copula(**text, base_dir=str(tmp_path))
+        want = build_copula(**typed, base_dir=str(tmp_path))
+        assert type(got.law) is type(want.law)
+        assert got.p.tobytes() == want.p.tobytes()
+        pts = (np.arange(5 * got.d).reshape(5, got.d) * 7 % 11 + 0.5) / 11.0
+        assert cdf(got, pts).tobytes() == cdf(want, pts).tobytes()
+
 
 def _limit_argv(tmp_path, command, spec, d):
     """argv of ``command`` on a ``spec`` of dimension d, as in the README limits table."""
@@ -645,13 +671,79 @@ _LIMIT_CELLS = [  # (command, spec, the largest d it takes, what its error names
 ]
 
 
+def _limit_atoms(tmp_path, d):
+    """(probability, bits) of each atom of the pmf file that ``_limit_argv`` wrote, and its margins."""
+    lines = (tmp_path / f"pmf{d}.txt").read_text().split()[1:]
+    atoms = [(float(q), [int(b) for b in bits]) for bits, q in (line.split(",") for line in lines)]
+    return atoms, [math.fsum(q * bits[m] for q, bits in atoms) for m in range(d)]
+
+
+def _atom_sum(atoms, factors):
+    """sum over atoms of q * prod_m factors[m][bit m], in Python floats."""
+    return math.fsum(q * math.prod(f[b] for f, b in zip(factors, bits)) for q, bits in atoms)
+
+
+def _check_limit_oracle(tmp_path, command, spec, d, out):
+    """The output of a README limits cell at its limit against a route the command does not take.
+
+    Tolerances: 1e-11 relative where ``%.12g`` is written (rounding adds at
+    most 5e-12), 1e-300 absolute for measures that are 0, bits for ``sample``.
+    """
+    if command == "order-check":
+        assert out.splitlines()[1] == "1,1,1,1,c_ordered"
+        return
+    if command == "sample":  # the atom form, as sampling.sample reads it
+        if spec == "pmf-file":
+            atoms = load_pmf_file(tmp_path / f"pmf{d}.txt")
+        elif spec == "exchangeable":
+            atoms = expand(end_count_pmf(0.4, d))
+        else:
+            atoms = independent([0.3] * d)
+        rows = [[float(s) for s in line.split(",")] for line in out.splitlines()[2:]]
+        assert np.array(rows).tobytes() == sampling.sample(GfgmCopula(atoms), 5, 1).values.tobytes()
+        return
+    if command == "eval":  # the pmf file at d = 63
+        # F(u | I = 0) = u^(1/(1-p)), and p F(u | 1) + (1-p) F(u | 0) = u makes each margin uniform
+        atoms, p = _limit_atoms(tmp_path, d)
+        low = [0.6 ** (1.0 / (1.0 - pm)) for pm in p]
+        want = _atom_sum(atoms, [(f0, (0.6 - (1.0 - pm) * f0) / pm) for f0, pm in zip(low, p)])
+        assert float(out) == pytest.approx(want, rel=1e-11, abs=0)
+        return
+    values = [float(line.rpartition(",")[2]) for line in out.splitlines()[1:]]
+    if spec == "p":  # independent margins: every measure is 0
+        assert values == pytest.approx([0.0] * 4, abs=1e-300)
+        return
+    if spec == "exchangeable":
+        rhos = min_measures_exchangeable(0.4, d)
+        pair = _Law.pair_sum(end_count_pmf(0.4, d), association._tau_kernel(0.4))  # outcome rows
+    else:  # the pmf file at d = 63
+        atoms, p = _limit_atoms(tmp_path, d)
+        # orthant factor 2 int_0^1 F(u | 0) du, or 2 int_0^1 (1 - F(u | 0)) du; I = 1 by uniformity
+        pref = (d + 1) / (2.0**d - d - 1)
+        rhos = []
+        for g0 in ([2 * (1 - pm) / (2 - pm) for pm in p], [2 / (2 - pm) for pm in p]):
+            factors = [(g, (1 - (1 - pm) * g) / pm) for g, pm in zip(g0, p)]
+            rhos.append(pref * (_atom_sum(atoms, factors) - 1.0))
+        kernels = [association._tau_kernel(pm) for pm in p]
+        pair = math.fsum(  # atom-pair double loop, G_m(a_m, b_m) = kernels[m][2 a_m + b_m]
+            qa * qb * math.prod(k[2 * a + b] for k, a, b in zip(kernels, bits_a, bits_b))
+            for qa, bits_a in atoms
+            for qb, bits_b in atoms
+        )
+    lo, up = rhos
+    want = [lo, up, 0.5 * (lo + up), (2.0**d * pair - 1.0) / (2.0 ** (d - 1) - 1.0)]
+    assert values == pytest.approx(want, rel=1e-11, abs=0)
+
+
 @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
 @pytest.mark.parametrize("command, spec, limit, named", _LIMIT_CELLS)
 def test_readme_limits_table(capsys, tmp_path, command, spec, limit, named, past):
-    # at each limit of the table the command succeeds; one past it, it exits 2 naming the limit
+    # at each limit of the table the command succeeds, with the output of an
+    # independent route; one past it, it exits 2 naming the limit
     code, out, err = _run(capsys, _limit_argv(tmp_path, command, spec, limit + past))
     if not past:
         assert code == 0 and out and err == ""
+        _check_limit_oracle(tmp_path, command, spec, limit, out)
     else:
         assert code == 2 and out == ""
         assert named in err and "Traceback" not in err
@@ -670,6 +762,8 @@ def _pmf30_text():
 # The d=10, d=30 and n=70000 samples and the r=257 grid span several write chunks.
 # The ``tables`` entries at precision 17 were recorded before the extreme closed
 # forms were rewritten as power sums over a count support; they pin every digit.
+# Layers: sample-* numpy's SIMD power; pdf-grid-* and eval-edges the BLAS kernel (weights @ acc)
+# and numpy's SIMD exp/log; tables-* libm through Python floats.
 CLI_DIGESTS = {
     "sample-end-d10": (
         ["sample", "--d", "10", "--exchangeable", "end:0.35", "--n", "7001", "--seed", "11"],

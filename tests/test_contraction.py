@@ -340,6 +340,7 @@ def _rational_pmfs():
 # All three pmfs stay on the per-atom schedule; every input is a multiple of
 # 1/64 and _pow_log is replaced by u * sqrt(u) (correctly rounded), so the
 # platform's libm does not enter.  n spans several contraction chunks.
+# Layer: the BLAS kernel (weights @ acc, low @ table); _pow_log is replaced, so no SIMD exp/log.
 UNGROUPED_DIGESTS = {
     ("sparse-d30", 1000): (
         "228d067040556df5e7ad5938dc5b996b71a7c073c59b760a3982d1ba365e2c30",

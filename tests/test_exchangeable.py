@@ -283,6 +283,7 @@ class TestMixtures:
         # recorded before the weight-class sums moved into _weight_class_sums;
         # at p = 1/3, u^(1/(1-p)) = u^1.5 is taken as u * sqrt(u), which is
         # correctly rounded, so the platform's libm does not enter
+        # Layer: the BLAS kernel (sums @ mom); _pow_log is replaced, so no SIMD exp/log.
         monkeypatch.setattr("gfgm.exchangeable._pow_log", lambda u, expo: u * np.sqrt(u))
         pts = (np.arange(60).reshape(10, 6) % 17) / 16.0
         out = mixture_copula_cdf(MixtureSpec.beta(1.0, 2.0, 6), 6, pts)
@@ -312,6 +313,7 @@ class TestMixtures:
         assert "beta_mixture_copula" in text
 
     def test_last_clean_moment_route_keeps_its_bytes(self):
+        # Layer: numpy-ordered sums only (math.fsum of the moment terms, q.sum())
         q = mixture_count_pmf(MixtureSpec.beta(2.0, 3.0, 21), 21).q
         assert hashlib.sha256(q.tobytes()).hexdigest() == (
             "37bdfb4a7aba29ac08096fcb9306237398b5044015d5f33e9a33ba5d318b3f8f"
@@ -388,6 +390,7 @@ class TestBetaMixture:
         np.testing.assert_allclose(cp.q, want, rtol=1e-13, atol=0)
 
     def test_integer_parameters_keep_their_bits(self):
+        # Layer: numpy-ordered sums only (np.cumprod of the ratios, q.sum())
         q = _beta_binomial_count_pmf(2.0, 3.0, 50).q
         assert hashlib.sha256(q.tobytes()).hexdigest() == (
             "05742f3ca2b3520137cc0078f2005e2d6c38bfef2ffac82c3e287878a27fd89a"

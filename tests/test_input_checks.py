@@ -82,6 +82,43 @@ CLI_CASES = {
         lambda t: ["measures", "--pmf-file", _file(t, "f", PMF_D2), "--p", "0.5,0.5,0.5"],
         "shape vector length must equal pmf dimension",
     ),
+    # a spec field's text is read by build_copula alone, from a spec file and from the flags
+    "spec-d-text": (
+        lambda t: ["measures", "--spec", _file(t, "s", "d=3.5\np=0.5,0.5\n")],
+        "d must be an integer, got '3.5'",
+    ),
+    "flag-d-text": (
+        lambda t: ["measures", "--d", "3.5", "--p", "0.5,0.5"],
+        "d must be an integer, got '3.5'",
+    ),
+    "spec-theta-text": (
+        lambda t: ["measures", "--spec", _file(t, "s", "p=0.5,0.5\ntheta=abc\n")],
+        "theta must be a real number, got 'abc'",
+    ),
+    "flag-theta-text": (
+        lambda t: ["measures", "--p", "0.5,0.5", "--theta", "abc"],
+        "theta must be a real number, got 'abc'",
+    ),
+    "spec-p-text": (
+        lambda t: ["measures", "--spec", _file(t, "s", "p=0.4,x\n")],
+        "p must be comma-separated reals, got '0.4,x'",
+    ),
+    "flag-p-text": (
+        lambda t: ["measures", "--p", "0.4,x"],
+        "p must be comma-separated reals, got '0.4,x'",
+    ),
+    "pmf-header-text": (
+        lambda t: ["measures", "--pmf-file", _file(t, "f", "d=2.5\n00,1\n")],
+        "malformed pmf header line: 'd=2.5'",
+    ),
+    "pmf-probability-text": (
+        lambda t: ["measures", "--pmf-file", _file(t, "f", "d=2\n00,0.5x\n11,0.5\n")],
+        "malformed pmf line: '00,0.5x'",
+    ),
+    "eval-point-text": (
+        lambda t: ["eval", "--p", "0.5,0.5", "-u", "0.4,x"],
+        "point -u 0.4,x is not comma-separated reals",
+    ),
 }
 
 

@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -237,6 +238,37 @@ def test_numpy_floor_has_bitwise_count():
     floors = [dep.partition(">=")[2] for dep in deps if dep.startswith("numpy")]
     assert len(floors) == 1
     assert tuple(int(part) for part in floors[0].split(".")[:2]) >= (2, 0)
+
+
+def _imported_top_modules(tree):
+    """Top-level modules that ``tree`` imports, by statement or by ``pytest.importorskip``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+            found.add(node.args[0].value.partition(".")[0])
+    return found
+
+
+def test_tests_import_only_declared_packages():
+    # a clean ``pip install -e '.[test]'`` brings every third-party module the tests import
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.match(r"[\w.-]+", dep).group().lower()
+        for dep in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    local = {path.stem for path in (root / "tests").glob("*.py")} | {"gfgm"}
+    imported = set()
+    for path in (root / "tests").glob("*.py"):
+        imported |= _imported_top_modules(ast.parse(path.read_text(encoding="utf-8")))
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert "mpmath" in third_party  # the guard sees a function-level import
+    assert third_party <= declared, sorted(third_party - declared)
 
 
 def _private_argparse_uses(tree):

@@ -38,22 +38,33 @@ Bernoulli(p_j)) and, in ``gfgm.exchangeable``, ``ExchangeableCountPmf``
 (the law of the count).
 
 Every copula quantity reduces to one contraction, E[prod_j g_j(I_j)].  On
-atoms, ``expect_products`` splits the margins into 4-bit blocks and tabulates
-all 16 subset products of each block per point.  A per-pmf plan, built once
-from the masks, picks one of two schedules:
+atoms, ``expect_products`` builds a table of products per point and sums,
+for each atom, the product of the rows it reads.  A per-pmf plan, built
+once from the masks, picks one of three schedules:
 
-* per atom: multiply one table row per block for each atom,
-  n_atoms * n_blocks multiplications per point (about #atoms * d / 4);
-* grouped: atoms that agree on every bit above the lowest block form a
-  group; one matrix product of the (groups, 16) table of their masses with
-  the lowest block's rows contracts that block for all groups at once, and
-  one row per higher block is multiplied in per group,
-  groups * (n_blocks - 1 + 16) multiplications per point.
+* per atom: the margins are split into 4-bit blocks, all 16 subset products
+  of each block are tabulated, and one table row per block is multiplied
+  for each atom, n_atoms * n_blocks multiplications per point (about
+  #atoms * d / 4);
+* grouped: on the same block tables, atoms that agree on every bit above
+  the lowest block form a group; one matrix product of the (groups, 16)
+  table of their masses with the lowest block's rows contracts that block
+  for all groups at once, and one row per higher block is multiplied in
+  per group, groups * (n_blocks - 1 + 16) multiplications per point;
+* chain: when the sorted masks are nested (0 = m_0 < m_1 < ... < all ones,
+  each containing the last, so at most d + 1 atoms), an atom with c margins
+  on multiplies the f1 factors of the first c margins to switch on by the
+  f0 factors of the other d - c.  Running products from both ends of that
+  order give every atom's product, and ``probs @ (prefix * suffix)`` their
+  sum: about 4d + 2 n_atoms per point.
 
-The plan takes the grouped schedule exactly when its count is the smaller.
-Dense supports (a full-support d = 10 pmf has 1024 atoms in 64 groups) are
-grouped; random sparse supports, comonotone chains and every pmf with
-d <= 4 stay on the per-atom schedule.
+The plan takes the schedule with the smallest count, where the two block
+schedules also pay 8 per block for their tables, and grouped beats per atom
+exactly when its own count is the smaller.  Dense supports (a full-support
+d = 10 pmf has 1024 atoms in 64 groups) are grouped; comonotone laws with
+distinct margins from d = 13 up take the chain; random sparse supports,
+short chains (a d = 10 comonotone law, or a 2-atom equal-margin one) and
+every pmf with d <= 4 stay on the per-atom schedule.
 """
 
 from __future__ import annotations
@@ -255,19 +266,66 @@ def _check_atom_form(d: int):
 class _Plan(NamedTuple):
     """Schedule of ``BernoulliPmf.expect_products`` for one pmf.
 
-    A unit is an atom (per-atom schedule) or a group of atoms sharing every
-    bit above the lowest block (grouped schedule).
+    Each schedule builds a table of products per point, then multiplies,
+    for each unit, the table rows it reads and sums them with its weight.
+    A unit is an atom (per-atom and chain schedules) or a group of atoms
+    sharing every bit above the lowest block (grouped schedule).  Per point,
+    "per-atom" costs n_atoms * n_blocks multiplications and "grouped"
+    groups * (n_blocks - 1 + 16), each after its 4-bit block tables (counted
+    as 8 per block); "chain", for nested masks only, costs about
+    4d + 2 n_atoms, its table being the running products along the order in
+    which the margins switch on.  The plan takes the smallest count.
     """
 
-    #: (n_units, 16) masses of each group by lowest-block pattern; None per atom.
+    #: (n_units, 16) masses of each group by lowest-block pattern; None otherwise.
     low: np.ndarray | None
-    #: (n_gathered_blocks, n_units) row of the stacked block tables each unit reads.
+    #: (n_gathered, n_units) row of the stacked tables each unit reads.
     rows: np.ndarray
     #: (n_units,) weight of each unit's product: the atom masses, or ones.
     weights: np.ndarray
+    #: Margins in the order they switch on along a chain; None on blocks.
+    order: np.ndarray | None
     #: Units contracted together, and points per chunk, within CHUNK_ELEMENTS.
     span: int
     chunk: int
+
+    @property
+    def schedule(self) -> str:
+        if self.order is not None:
+            return "chain"
+        return "per-atom" if self.low is None else "grouped"
+
+
+def _is_chain(masks: np.ndarray, d: int) -> bool:
+    """Whether sorted masks are nested, from the empty outcome to the full one.
+
+    Margins inside (0, 1) force both ends, so a chain has at most d + 1 atoms.
+    """
+    if masks.size > d + 1 or masks[0] != 0 or masks[-1] != (1 << d) - 1:
+        return False
+    return not np.any(masks[:-1] & ~masks[1:])
+
+
+def _chain_products(f0: np.ndarray, f1: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """(2 (d + 1), m) running products along a chain, for (m, d) factor tables.
+
+    Row 2c is the product of f1 over the first c margins of ``order``, and
+    row 2c + 1 that of f0 over the last c, so an atom with c margins on
+    reads rows 2c and 2 (d - c) + 1.  Both scans below multiply in the same
+    order, so give the same bits: under about 100 points one
+    ``multiply.accumulate`` call is the faster (9 times at one point,
+    d = 63), above it one multiplication per margin (twice at 256 points).
+    """
+    d, m = order.size, f0.shape[0]
+    table = np.empty((d + 1, 2, m))
+    table[0] = 1.0
+    table[1:, 0], table[1:, 1] = f1.T[order], f0.T[order[::-1]]
+    if m < 96:
+        np.multiply.accumulate(table, axis=0, out=table)
+    else:
+        for c in range(1, d + 1):
+            table[c] *= table[c - 1]
+    return table.reshape(-1, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,11 +425,25 @@ class BernoulliPmf(_Law):
     @cached_property
     def _block_rows(self) -> _Plan:
         """Contraction plan, chosen by the multiplications per point of each schedule."""
-        n_blocks = -(-self.d // BLOCK_BITS)
+        d, n_blocks = self.d, -(-self.d // BLOCK_BITS)
         high = self.masks >> BLOCK_BITS
         opens = np.r_[True, high[1:] != high[:-1]]  # masks are sorted
         n_groups = int(opens.sum())
-        if n_groups * (n_blocks - 1 + _BLOCK_SIZE) < self.n_atoms * n_blocks:
+        per_atom = self.n_atoms * n_blocks
+        grouped = n_groups * (n_blocks - 1 + _BLOCK_SIZE)
+        # the block schedules first write 16 subset products per block, each
+        # in one pass where a gathered row takes two: 8 gathered rows a block
+        tables = n_blocks * _BLOCK_SIZE // 2
+        if 4 * d + 2 * self.n_atoms < min(per_atom, grouped) + tables and _is_chain(self.masks, d):
+            counts = _popcount(self.masks)
+            rows = np.stack([2 * counts, 2 * (d - counts) + 1])
+            # margins on in more atoms switch on earlier
+            order = np.argsort(-self.bits.sum(axis=0), kind="stable")
+            # per point: the running products, one transposed factor table
+            # and two gathered rows per atom
+            chunk = max(1, CHUNK_ELEMENTS // (3 * d + 2 + 2 * self.n_atoms))
+            return _Plan(None, rows, self.probs, order, self.n_atoms, chunk)
+        if grouped < per_atom:
             low = np.zeros((n_groups, _BLOCK_SIZE))
             low[np.cumsum(opens) - 1, self.masks & (_BLOCK_SIZE - 1)] = self.probs
             units, first, weights = high[opens], 1, np.ones(n_groups)
@@ -384,7 +456,7 @@ class BernoulliPmf(_Law):
         # the block tables and padded factors; spans keep it <= CHUNK_ELEMENTS
         span = min(weights.size, CHUNK_ELEMENTS // 4)
         chunk = max(1, CHUNK_ELEMENTS // (2 * (span + (n_blocks << BLOCK_BITS))))
-        return _Plan(low, rows, weights, span, chunk)
+        return _Plan(low, rows, weights, None, span, chunk)
 
     _chunk = property(lambda self: self._block_rows.chunk)
 
@@ -395,16 +467,20 @@ class BernoulliPmf(_Law):
         as in a direct per-atom sum.  Per point, the per-atom schedule costs
         n_atoms * n_blocks multiplications and the grouped one
         groups * (n_blocks - 1 + 16), with the lowest block contracted by one
-        (groups, 16) x (16, chunk) matrix product; the plan takes the grouped
-        schedule when that count is the smaller.
+        (groups, 16) x (16, chunk) matrix product; both first tabulate the
+        blocks' subset products.  A chain forms its running products instead,
+        about 4d + 2 n_atoms per point.  The plan takes the smallest count.
         """
-        low, rows, weights, span, _ = self._block_rows
+        low, rows, weights, order, span, _ = self._block_rows
         m = f0.shape[0]
-        # (block, bit, side, point), padded with unit factors
-        factors = np.ones((-(-self.d // BLOCK_BITS), BLOCK_BITS, 2, m))
-        pairs = factors.reshape(-1, 2, m)[: self.d]
-        pairs[:, 0], pairs[:, 1] = f0.T, f1.T
-        table = _subset_products(factors).reshape(-1, m)
+        if order is None:
+            # (block, bit, side, point), padded with unit factors
+            factors = np.ones((-(-self.d // BLOCK_BITS), BLOCK_BITS, 2, m))
+            pairs = factors.reshape(-1, 2, m)[: self.d]
+            pairs[:, 0], pairs[:, 1] = f0.T, f1.T
+            table = _subset_products(factors).reshape(-1, m)
+        else:
+            table = _chain_products(f0, f1, order)
         out = np.zeros(m)
         for a in range(0, weights.size, span):
             unit_rows = rows[:, a : a + span]

@@ -20,8 +20,9 @@ algebraically equal expressions:
 * the stochastic form, E[prod_m of per-margin conditional cdfs] contracted
   by the law: O(#atoms * d / 4) multiplications per point through the
   blocked contraction of :meth:`BernoulliPmf.expect_products` (fewer when
-  dense supports are grouped), O(d^2) through the weight-class sums of a
-  count law, O(d) for independent margins.  The factor tables are computed
+  dense supports are grouped, O(d + #atoms) on a comonotone chain), O(d^2)
+  through the weight-class sums of a count law, O(d) for independent
+  margins.  The factor tables are computed
   one contraction chunk of points at a time, so transient memory does not
   grow with the number of points;
 * the natural (polynomial) form with centered coefficients

@@ -16,12 +16,14 @@ from gfgm import (
     cdf,
     cdf_epd,
     cli,
+    comonotonic,
     end_count_pmf,
     expand,
     independent,
     load_pmf_file,
     min_measures_exchangeable,
     sampling,
+    save_pmf_file,
 )
 from gfgm.association import MEASURES_MAX_D
 from gfgm.bernoulli import MAX_DENSE_DIMENSION, MAX_DIMENSION, IndependenceLaw, _Law
@@ -747,6 +749,18 @@ def test_readme_limits_table(capsys, tmp_path, command, spec, limit, named, past
     else:
         assert code == 2 and out == ""
         assert named in err and "Traceback" not in err
+
+
+def test_measures_of_a_comonotone_chain(capsys, tmp_path):
+    # the limits table's atom oracle on a comonotone law with unequal margins:
+    # 51 nested atoms, which the contraction takes by running products
+    d = 50
+    pmf = comonotonic(np.random.default_rng(50).uniform(0.2, 0.8, size=d))
+    assert pmf.n_atoms == d + 1 and pmf._block_rows.schedule == "chain"
+    save_pmf_file(pmf, tmp_path / f"pmf{d}.txt")
+    code, out, err = _run(capsys, ["measures", "--pmf-file", str(tmp_path / f"pmf{d}.txt")])
+    assert code == 0 and err == ""
+    _check_limit_oracle(tmp_path, "measures", "pmf-file", d, out)
 
 
 def _pmf30_text():

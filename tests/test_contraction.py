@@ -25,8 +25,8 @@ from gfgm import (
     tau,
 )
 from gfgm.association import _orthant_kernels, _tau_kernel
-from gfgm.bernoulli import CHUNK_ELEMENTS, IndependenceLaw
-from gfgm.copula import _cdf_factors, _pow_log
+from gfgm.bernoulli import CHUNK_ELEMENTS, IndependenceLaw, _chain_products
+from gfgm.copula import _cdf_factors, _pdf_factors, _pow_log, _survival_factors
 
 
 def _atom_loop(pmf, f0, f1):
@@ -135,33 +135,53 @@ def _expanded(rng, d):
     return expand(ExchangeableCountPmf(d, rng.dirichlet(np.ones(d + 1))))
 
 
-# (name, pmf builder, whether the plan groups it); the benchmark shapes are
+def _comonotone(d, ties=1):
+    """Comonotone pmf at dimension d with random margins, ``ties`` margins to a threshold."""
+    return lambda rng: comonotonic(np.repeat(rng.uniform(0.2, 0.8, size=-(-d // ties)), ties)[:d])
+
+
+def _random_chain(rng, d, n_atoms):
+    """Pmf on a random nested chain of n_atoms masks from 0 to all ones, Dirichlet masses."""
+    order = rng.permutation(d)
+    cuts = np.r_[0, np.sort(rng.choice(np.arange(1, d), size=n_atoms - 2, replace=False)), d]
+    masks = [sum(1 << int(j) for j in order[:c]) for c in cuts]
+    return BernoulliPmf(d, masks, rng.dirichlet(np.ones(n_atoms)))
+
+
+# (name, pmf builder, the schedule the plan picks); the benchmark shapes are
 # full-d9, full-d10, sparse-d30, comonotone-d63, bivariate and independence-d3/d4
 SCHEDULES = [
-    ("full-d5", lambda rng: _full_support(rng, 5), True),
-    ("full-d9", lambda rng: _expanded(rng, 9), True),
-    ("full-d10", lambda rng: _expanded(rng, 10), True),
-    ("full-d12", lambda rng: _full_support(rng, 12), True),
-    ("end-d14", lambda rng: expand(end_count_pmf(6.5 / 14, 14)), True),
-    ("triples-d31", lambda rng: _per_high_prefix(rng, 31, 3), True),
-    ("pairs-d63", lambda rng: _per_high_prefix(rng, 63, 2), True),
-    ("sparse-d17", lambda rng: _random_atoms(rng, 17, 40), False),
-    ("sparse-d30", lambda rng: _random_atoms(rng, 30, 256), False),
-    ("sparse-d31", lambda rng: _random_atoms(rng, 31, 40), False),
-    ("sparse-d63", lambda rng: _random_atoms(rng, 63, 40), False),
-    ("comonotone-d63", lambda rng: comonotonic(rng.uniform(0.2, 0.8, size=63)), False),
-    ("bivariate", lambda rng: from_theta_bivariate(0.3, 0.6, 0.4), False),
-    ("independence-d3", lambda rng: independent(rng.uniform(0.2, 0.8, size=3)), False),
-    ("independence-d4", lambda rng: independent(rng.uniform(0.2, 0.8, size=4)), False),
+    ("full-d5", lambda rng: _full_support(rng, 5), "grouped"),
+    ("full-d9", lambda rng: _expanded(rng, 9), "grouped"),
+    ("full-d10", lambda rng: _expanded(rng, 10), "grouped"),
+    ("full-d12", lambda rng: _full_support(rng, 12), "grouped"),
+    ("end-d14", lambda rng: expand(end_count_pmf(6.5 / 14, 14)), "grouped"),
+    ("triples-d31", lambda rng: _per_high_prefix(rng, 31, 3), "grouped"),
+    ("pairs-d63", lambda rng: _per_high_prefix(rng, 63, 2), "grouped"),
+    ("sparse-d17", lambda rng: _random_atoms(rng, 17, 40), "per-atom"),
+    ("sparse-d30", lambda rng: _random_atoms(rng, 30, 256), "per-atom"),
+    ("sparse-d31", lambda rng: _random_atoms(rng, 31, 40), "per-atom"),
+    ("sparse-d63", lambda rng: _random_atoms(rng, 63, 40), "per-atom"),
+    ("comonotone-d10", _comonotone(10), "per-atom"),
+    ("comonotone-equal-d63", lambda rng: comonotonic(np.full(63, 0.3)), "per-atom"),  # 2 atoms
+    ("comonotone-d16", _comonotone(16), "chain"),
+    ("comonotone-d30", _comonotone(30), "chain"),
+    ("comonotone-d63", _comonotone(63), "chain"),
+    ("comonotone-ties-d30", _comonotone(30, ties=2), "chain"),  # atoms switch 2 margins on
+    ("chain-d40", lambda rng: _random_chain(rng, 40, 21), "chain"),
+    ("bivariate", lambda rng: from_theta_bivariate(0.3, 0.6, 0.4), "per-atom"),
+    ("independence-d3", lambda rng: independent(rng.uniform(0.2, 0.8, size=3)), "per-atom"),
+    ("independence-d4", lambda rng: independent(rng.uniform(0.2, 0.8, size=4)), "per-atom"),
 ]
 
 
-@pytest.mark.parametrize("name, build, grouped", SCHEDULES, ids=[s[0] for s in SCHEDULES])
-def test_both_schedules_match_atom_loop(name, build, grouped):
+# (the name predates the chain schedule; every schedule is checked here)
+@pytest.mark.parametrize("name, build, schedule", SCHEDULES, ids=[s[0] for s in SCHEDULES])
+def test_both_schedules_match_atom_loop(name, build, schedule):
     rng = np.random.default_rng(sum(map(ord, name)))
     pmf = build(rng)
     plan = pmf._block_rows
-    assert (plan.low is not None) == grouped
+    assert plan.schedule == schedule
     d, n = pmf.d, 3 * plan.chunk + 5  # three whole chunks and a short one
     f0, f1 = rng.uniform(0.5, 1.5, size=(2, n, d))
     f0[::5, 0] = 0.0
@@ -170,6 +190,42 @@ def test_both_schedules_match_atom_loop(name, build, grouped):
     got = pmf.expect_products(f0, f1)
     assert np.all(got[::11] == 0.0)
     np.testing.assert_allclose(got, _atom_loop(pmf, f0, f1), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("d", [16, 30, 63])
+def test_chain_at_the_margin_domain_ends(d):
+    # margins of 1e-11 and 1 - 1e-11 give the chain's end atoms masses of
+    # 1e-11 and factor pairs with exact zeros; points near 0 take the cdf down
+    # to about 1e-140, normal floats well above underflow.  cdf, pdf and
+    # survival keep the per-atom sum's digits and its zeros
+    rng = np.random.default_rng(1100 + d)
+    p = rng.uniform(0.2, 0.8, size=d)
+    p[0], p[d - 1] = 1e-11, 1.0 - 1e-11
+    c = GfgmCopula(comonotonic(p))
+    assert c.law._block_rows.schedule == "chain"
+    pts = rng.uniform(size=(300, d))
+    pts[::3] = 10.0 ** -rng.uniform(2, 200 / d, size=(100, d))
+    pts[::5, 1] = 0.0
+    pts[::7, 0] = 1.0
+    for evaluate, factors in ((cdf, _cdf_factors), (pdf, _pdf_factors), (survival, _survival_factors)):
+        got, want = evaluate(c, pts), _atom_loop(c.law, *factors(c, pts))
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert np.min(want[want > 0.0]) > 1e-300
+    low = cdf(c, pts)
+    assert np.any(low == 0.0) and np.min(low[low > 0.0]) < 1e-100
+
+
+def test_chain_scans_give_the_same_bits():
+    # the running products of few points (one accumulate call) and of many
+    # (one multiplication per margin) are formed in the same order
+    rng = np.random.default_rng(96)
+    order = rng.permutation(63)
+    f0, f1 = rng.uniform(0.5, 1.5, size=(2, 400, 63))
+    many = _chain_products(f0, f1, order)
+    few = np.concatenate([_chain_products(f0[s : s + 8], f1[s : s + 8], order) for s in range(0, 400, 8)], axis=1)
+    assert many.tobytes() == few.tobytes()
 
 
 # (law builder, points): about 1.3M point values each, 10 MB allocated
@@ -219,7 +275,7 @@ def test_zero_factors_give_exact_zeros():
     f0[1, :] = 0.0
     out = pmf.expect_products(f0, f1)
     assert out[0] == 0.0
-    assert out[1] == pytest.approx(_atom_loop(pmf, f0, f1)[1], rel=1e-14)
+    assert out[1] == pytest.approx(_atom_loop(pmf, f0, f1)[1], rel=1e-14, abs=0)
     assert out[2] > 0.0
 
 
@@ -251,14 +307,14 @@ def test_d63_comonotone_cdf_near_underflow():
     u = np.full(63, 1e-3)
     val = cdf(c, u)
     assert 1e-170 < val < 1e-150
-    assert val == pytest.approx(cdf_epd(p, 63, u), rel=1e-13)
+    assert val == pytest.approx(cdf_epd(p, 63, u), rel=1e-13, abs=0)
 
     rng = np.random.default_rng(63)
     c = GfgmCopula(comonotonic(rng.uniform(0.2, 0.5, size=63)))
     a0, a1 = _cdf_factors(c, u[None, :])
     want = _atom_loop(c.bernoulli, a0, a1)[0]
     assert 0.0 < want < 1e-100
-    assert cdf(c, u) == pytest.approx(want, rel=1e-14)
+    assert cdf(c, u) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -335,12 +391,15 @@ def _rational_pmfs():
     }
 
 
-# SHA-256 of float64 bytes, recorded before the contraction was split into two
-# schedules and cdf/pdf/survival began to compute factors one chunk at a time.
-# All three pmfs stay on the per-atom schedule; every input is a multiple of
+# SHA-256 of float64 bytes.  sparse-d30 and bivariate stay on the per-atom
+# schedule, and their digests were recorded before the contraction was split
+# into schedules and cdf/pdf/survival began to compute factors one chunk at a
+# time.  comonotone-d63, 64 nested atoms, takes the chain schedule; its digests
+# were re-recorded when that schedule was added.  Every input is a multiple of
 # 1/64 and _pow_log is replaced by u * sqrt(u) (correctly rounded), so the
 # platform's libm does not enter.  n spans several contraction chunks.
-# Layer: the BLAS kernel (weights @ acc, low @ table); _pow_log is replaced, so no SIMD exp/log.
+# Layer: the BLAS kernel (the per-atom weights @ acc; the chain's last sum,
+# probs @ prod, one gemv); _pow_log is replaced, so no SIMD exp/log.
 UNGROUPED_DIGESTS = {
     ("sparse-d30", 1000): (
         "228d067040556df5e7ad5938dc5b996b71a7c073c59b760a3982d1ba365e2c30",
@@ -349,10 +408,10 @@ UNGROUPED_DIGESTS = {
         "2604aeebdcf8de2691a23c3af5559358b44b9befa0778e927e604cde33425d0b",
     ),
     ("comonotone-d63", 1000): (
-        "a52f61a37a46b3412e51c0dad024abc207b5753a17c34a8a1cdf819cb8eef5e1",
-        "fbd39cf9510c4605a0cde24a10936c9c6d2e5706cc4055a9f1d18941c7a75069",
-        "69b96d677394d6413dca82ec31b1a3182821a1396aa997fd32216576813ab9fc",
-        "574520e78a2ed369f20df4806a360c14e3c6676dbfa11fd1ff777d7b668f048a",
+        "8659070a7c2038e0005168e2961a1cc2b4f38ba3c1c5627b7c68f675c5cb2cae",
+        "509ae090f2554e4468845bb7454098109fb9b09338ed385cbd8c961a39eb66a2",
+        "758a1b03484116564d706e8d20cc4946d445a21e857fc631cd302b14ec14ae5c",
+        "64f49ae09649e533717630ce079ac91090da70162ac72ed43fdb63776deb988b",
     ),
     ("bivariate", 9000): (
         "e9bc8d83521a62b0016ae68445aa800f031072d9eb0f2d72d2f1ccd1a684f613",

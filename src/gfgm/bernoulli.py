@@ -311,20 +311,16 @@ def _chain_products(f0: np.ndarray, f1: np.ndarray, order: np.ndarray) -> np.nda
 
     Row 2c is the product of f1 over the first c margins of ``order``, and
     row 2c + 1 that of f0 over the last c, so an atom with c margins on
-    reads rows 2c and 2 (d - c) + 1.  Both scans below multiply in the same
-    order, so give the same bits: under about 100 points one
-    ``multiply.accumulate`` call is the faster (9 times at one point,
-    d = 63), above it one multiplication per margin (twice at 256 points).
+    reads rows 2c and 2 (d - c) + 1.
     """
     d, m = order.size, f0.shape[0]
     table = np.empty((d + 1, 2, m))
     table[0] = 1.0
-    table[1:, 0], table[1:, 1] = f1.T[order], f0.T[order[::-1]]
-    if m < 96:
-        np.multiply.accumulate(table, axis=0, out=table)
-    else:
-        for c in range(1, d + 1):
-            table[c] *= table[c - 1]
+    # one gathered (d, m) copy alive at a time
+    table[1:, 0] = f1.T[order]
+    table[1:, 1] = f0.T[order[::-1]]
+    for c in range(1, d + 1):
+        table[c] *= table[c - 1]
     return table.reshape(-1, m)
 
 
@@ -439,7 +435,7 @@ class BernoulliPmf(_Law):
             rows = np.stack([2 * counts, 2 * (d - counts) + 1])
             # margins on in more atoms switch on earlier
             order = np.argsort(-self.bits.sum(axis=0), kind="stable")
-            # per point: the running products, one transposed factor table
+            # per point: the running products, one gathered factor table
             # and two gathered rows per atom
             chunk = max(1, CHUNK_ELEMENTS // (3 * d + 2 + 2 * self.n_atoms))
             return _Plan(None, rows, self.probs, order, self.n_atoms, chunk)

@@ -25,7 +25,7 @@ from gfgm import (
     tau,
 )
 from gfgm.association import _orthant_kernels, _tau_kernel
-from gfgm.bernoulli import CHUNK_ELEMENTS, IndependenceLaw, _chain_products
+from gfgm.bernoulli import CHUNK_ELEMENTS, IndependenceLaw
 from gfgm.copula import _cdf_factors, _pdf_factors, _pow_log, _survival_factors
 
 
@@ -215,17 +215,6 @@ def test_chain_at_the_margin_domain_ends(d):
         assert np.min(want[want > 0.0]) > 1e-300
     low = cdf(c, pts)
     assert np.any(low == 0.0) and np.min(low[low > 0.0]) < 1e-100
-
-
-def test_chain_scans_give_the_same_bits():
-    # the running products of few points (one accumulate call) and of many
-    # (one multiplication per margin) are formed in the same order
-    rng = np.random.default_rng(96)
-    order = rng.permutation(63)
-    f0, f1 = rng.uniform(0.5, 1.5, size=(2, 400, 63))
-    many = _chain_products(f0, f1, order)
-    few = np.concatenate([_chain_products(f0[s : s + 8], f1[s : s + 8], order) for s in range(0, 400, 8)], axis=1)
-    assert many.tobytes() == few.tobytes()
 
 
 # (law builder, points): about 1.3M point values each, 10 MB allocated

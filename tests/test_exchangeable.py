@@ -129,8 +129,8 @@ class TestExtremalPoints:
         pts = extremal_count_pmfs(0.5, 2)
         assert len(pts) == 2
         two_point, degenerate = pts
-        assert two_point.q == pytest.approx([0.5, 0.0, 0.5], abs=0)
-        assert degenerate.q == pytest.approx([0.0, 1.0, 0.0], abs=0)
+        assert two_point.q == pytest.approx([0.5, 0.0, 0.5], rel=1e-6, abs=0)
+        assert degenerate.q == pytest.approx([0.0, 1.0, 0.0], rel=1e-6, abs=0)
 
     def test_fractional_mean_d3(self):
         pts = extremal_count_pmfs(0.5, 3)
@@ -400,14 +400,14 @@ class TestBetaMixture:
 class TestSpecStrings:
     def test_counts(self):
         cp = parse_exchangeable_spec("counts:0.5,0,0.5")
-        assert cp.d == 2 and cp.q == pytest.approx([0.5, 0.0, 0.5], abs=0)
+        assert cp.d == 2 and cp.q == pytest.approx([0.5, 0.0, 0.5], rel=1e-6, abs=0)
 
     def test_end_and_comonotone(self):
         assert parse_exchangeable_spec("end:0.3", d=4).q == pytest.approx(
-            end_count_pmf(0.3, 4).q, abs=0
+            end_count_pmf(0.3, 4).q, rel=1e-6, abs=0
         )
         assert parse_exchangeable_spec("comonotone:0.2", d=3).q == pytest.approx(
-            comonotone_count_pmf(0.2, 3).q, abs=0
+            comonotone_count_pmf(0.2, 3).q, rel=1e-6, abs=0
         )
 
     def test_beta(self):

@@ -144,11 +144,16 @@ def validate_dimension(d) -> int:
 
     The range checks (d >= 2 and each route's upper limit) stay with the caller.
     """
-    if isinstance(d, (int, np.integer)):
-        return int(d)
-    if isinstance(d, (float, np.floating)) and float(d).is_integer():  # not NaN or inf
-        return int(d)
-    raise InvalidDistributionError(f"dimension must be an integer, got {d!r}")
+    return _integral(d, "dimension")
+
+
+def _integral(value, noun: str) -> int:
+    """``value`` as an int when it is integral, by the rule of :func:`validate_dimension`."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():  # not NaN or inf
+        return int(value)
+    raise InvalidDistributionError(f"{noun} must be an integer, got {value!r}")
 
 
 def validate_margins(p) -> np.ndarray:

@@ -14,7 +14,9 @@ degenerate law when pd is an integer), the extreme negative dependence
 member that minimizes the orthant association measures, and de Finetti
 mixtures f(i) = int lambda^{|i|} (1-lambda)^{d-|i|} dF(lambda) driven by a
 mixing variable on [0, 1] (given by moments or by a quadrature rule), with
-the Beta family worked out explicitly.
+the Beta family worked out explicitly.  A mixture is its count law
+(:func:`mixture_count_pmf`), and a copula evaluates it like any other; the
+moment form of its cdf is the oracle ``gfgm.reference.mixture_copula_cdf``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .bernoulli import (
     validate_dimension,
     validate_margin,
 )
-from .copula import GfgmCopula, _as_points, _pow_log
+from .copula import GfgmCopula
 
 #: Largest d of a count law's evaluation: C(1030, 515) overflows a float.
 COUNT_LAW_MAX_D = 1029
@@ -58,7 +60,6 @@ __all__ = [
     "end_pmf",
     "MixtureSpec",
     "mixture_count_pmf",
-    "mixture_copula_cdf",
     "beta_moments",
     "beta_mixture_copula",
     "measures_exchangeable",
@@ -432,22 +433,6 @@ def mixture_count_pmf(spec: MixtureSpec, d: int) -> ExchangeableCountPmf:
             "(spec 'beta:alpha,beta' or beta_mixture_copula)"
         )
     return ExchangeableCountPmf(d, q)
-
-
-def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
-    """Mixture-copula cdf evaluated through the moments of the mixing law.
-
-    Expands prod_m (x_m + Lambda (u_m - x_m)/p), x_m = u_m^{1/(1-p)}, as a
-    polynomial in Lambda (the weight-class sums) and contracts it with
-    E[Lambda^k]; equals the cdf of the expanded exchangeable copula.
-    """
-    d = validate_dimension(d)
-    p = validate_margin(spec.moment(1))  # the mixture mean E[Lambda]
-    pts, single = _as_points(u, d)
-    x = _pow_log(pts, 1.0 / (1.0 - p))
-    mom = np.array([spec.moment(k) for k in range(d + 1)])
-    out = _weight_class_sums(x, (pts - x) / p) @ mom
-    return float(out[0]) if single else out
 
 
 def _beta_binomial_count_pmf(alpha: float, beta: float, d: int) -> ExchangeableCountPmf:

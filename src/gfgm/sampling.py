@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationReport, _prefactor
-from .bernoulli import BernoulliPmf
+from .bernoulli import BernoulliPmf, _integral
 from .copula import GfgmCopula
 
 GENERATOR_ID = "philox4x64-ss3-v1"
@@ -53,8 +53,18 @@ class SampleBatch:
         object.__setattr__(self, "values", v)
 
 
+def _draw_args(n, seed) -> tuple[int, int]:
+    """(n, seed) as ints, each integral as a dimension is; n >= 1 and seed >= 0."""
+    n, seed = _integral(n, "n"), _integral(seed, "seed")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return n, seed
+
+
 def _spawn_generators(seed: int, count: int = 3) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(int(seed)).spawn(count)
+    children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
@@ -84,8 +94,7 @@ def sample_bernoulli(pmf: BernoulliPmf, n: int, seed: int) -> np.ndarray:
     Uses the same sub-stream as the Bernoulli draws inside :func:`sample`,
     so the two agree for equal seeds.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n, seed = _draw_args(n, seed)
     gen = _spawn_generators(seed)[0]
     return _categorical_masks(pmf, n, gen)
 
@@ -97,8 +106,7 @@ def sample(c: GfgmCopula, n: int, seed: int) -> SampleBatch:
     copula has: the given ``p``, else those of the atoms.  So a count-law or
     independence copula draws the same stream as its expansion (d <= 20).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n, seed = _draw_args(n, seed)
     pmf = c.bernoulli
     p = c.p if c._p_given else pmf.margins
     gen_i, gen_u0, gen_u1 = _spawn_generators(seed)
@@ -110,7 +118,7 @@ def sample(c: GfgmCopula, n: int, seed: int) -> SampleBatch:
     # a U_0 draw of 1.0, or of 1 - 2^-52 raised to 1 - p <= 0.1, gives a value
     # of 1.0; clamping to the largest float below 1 leaves all others unchanged
     np.minimum(values, np.nextafter(1.0, 0.0), out=values)
-    return SampleBatch(n, c.d, values, int(seed))
+    return SampleBatch(n, c.d, values, seed)
 
 
 def uniform_ks_statistic(x: np.ndarray) -> float:

@@ -244,6 +244,16 @@ class TestMixtures:
         with pytest.raises(InvalidDistributionError):
             mixture_count_pmf(spec, 2)
 
+    @pytest.mark.parametrize("moments", [[1.0, 0.3, 0.9], [1.0, 0.5, 0.25, 0.9]])
+    def test_oracle_rejects_moments_of_no_law(self, moments):
+        # q_1 < 0 at d = 2 (E[L^2] > E[L]) and q_2 < 0 at d = 3: the count law
+        # and the moment oracle both refuse them
+        spec, d = MixtureSpec.from_moments(moments), len(moments) - 1
+        with pytest.raises(InvalidDistributionError, match="negative count mass"):
+            mixture_count_pmf(spec, d)
+        with pytest.raises(InvalidDistributionError, match=f"negative count mass q_{d - 1}"):
+            mixture_copula_cdf(spec, d, [0.5] * d)
+
     def test_non_finite_moments_rejected(self):
         with pytest.raises(InvalidDistributionError, match=r"lie in \[0,1\]"):
             mixture_copula_cdf(MixtureSpec.from_moments([1.0, 0.5, np.nan]), 2, [0.5, 0.5])
@@ -280,11 +290,13 @@ class TestMixtures:
         )
 
     def test_cdf_digest(self, monkeypatch):
-        # recorded before the weight-class sums moved into _weight_class_sums;
-        # at p = 1/3, u^(1/(1-p)) = u^1.5 is taken as u * sqrt(u), which is
-        # correctly rounded, so the platform's libm does not enter
-        # Layer: the BLAS kernel (sums @ mom); _pow_log is replaced, so no SIMD exp/log.
-        monkeypatch.setattr("gfgm.exchangeable._pow_log", lambda u, expo: u * np.sqrt(u))
+        # recorded before the weight-class sums moved into _weight_class_sums,
+        # and kept by the oracle's own loop of the same operations; at p = 1/3,
+        # u^(1/(1-p)) = u^1.5 is taken as u * sqrt(u), which is correctly
+        # rounded, so the platform's libm does not enter
+        # Layer: the oracle gfgm.reference.mixture_copula_cdf, its weight-class
+        # loop and the BLAS kernel (sums @ mom); _pow_log is replaced, so no SIMD exp/log.
+        monkeypatch.setattr("gfgm.reference._pow_log", lambda u, expo: u * np.sqrt(u))
         pts = (np.arange(60).reshape(10, 6) % 17) / 16.0
         out = mixture_copula_cdf(MixtureSpec.beta(1.0, 2.0, 6), 6, pts)
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
@@ -293,7 +305,8 @@ class TestMixtures:
 
     def test_degenerate_mixture_normalization(self):
         spec = MixtureSpec.degenerate(0.4, 3)
-        assert mixture_copula_cdf(spec, 3, [1.0, 1.0, 1.0]) == pytest.approx(1.0)
+        # at u = 1 every factor is exactly 1 or 0
+        assert mixture_copula_cdf(spec, 3, [1.0, 1.0, 1.0]) == pytest.approx(1.0, rel=0, abs=1e-15)
         # conditionally-iid with a point mass is exactly independence
         pts = np.array([[0.2, 0.5, 0.8], [0.9, 0.1, 0.6]])
         assert mixture_copula_cdf(spec, 3, pts) == pytest.approx(

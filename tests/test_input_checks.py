@@ -14,6 +14,7 @@ from gfgm import (
     max_measures_gfgm_p,
     min_measures_exchangeable,
     moments_to_pmf,
+    sample,
     sample_bernoulli,
     survival_by_cdf,
 )
@@ -119,6 +120,10 @@ CLI_CASES = {
         lambda t: ["eval", "--p", "0.5,0.5", "-u", "0.4,x"],
         "point -u 0.4,x is not comma-separated reals",
     ),
+    "sample-seed-negative": (
+        lambda t: ["sample", "--p", "0.5,0.5", "--n", "3", "--seed", "-1"],
+        "seed must be nonnegative, got -1",
+    ),
 }
 
 
@@ -189,6 +194,21 @@ API_CASES = {
     "sample-bernoulli-n": (
         lambda: sample_bernoulli(independent([0.5, 0.5]), 0, 0), ValueError, "n must be positive"
     ),
+    "sample-bernoulli-n-integral": (
+        lambda: sample_bernoulli(independent([0.5, 0.5]), 2.5, 0),
+        InvalidDistributionError,
+        r"n must be an integer, got 2\.5",
+    ),
+    "sample-seed-integral": (
+        lambda: sample(GfgmCopula.independence([0.5, 0.5]), 5, 1.7),
+        InvalidDistributionError,
+        r"seed must be an integer, got 1\.7",
+    ),
+    "sample-seed-negative": (
+        lambda: sample(GfgmCopula.independence([0.5, 0.5]), 5, -1),
+        ValueError,
+        "seed must be nonnegative, got -1",
+    ),
 }
 
 
@@ -198,3 +218,15 @@ def test_api_raises_its_documented_error(name):
     with pytest.raises(error, match=message) as info:
         call()
     assert info.type is error
+
+
+def test_integral_draw_arguments_pass_as_ints():
+    # n and seed follow the dimension rule: 5.0 and np.int64(1) are 5 and 1, same stream
+    c = GfgmCopula.independence([0.3, 0.6])
+    want = sample(c, 5, 1)
+    for n, seed in ((5.0, 1.0), (np.int64(5), np.int64(1))):
+        got = sample(c, n, seed)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (type(got.n), type(got.seed), got.seed) == (int, int, 1)
+    pmf = independent([0.3, 0.6])
+    assert np.array_equal(sample_bernoulli(pmf, 5.0, 1.0), sample_bernoulli(pmf, 5, 1))

@@ -97,6 +97,17 @@ class TestBeyondTheAtoms:
         c = GfgmCopula(mixture_count_pmf(spec, 200))
         np.testing.assert_allclose(cdf(c, pts), mixture_copula_cdf(spec, 200, pts), rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("d", [40, 100, 300])
+    def test_beta_count_law_is_mixture_cdf(self, d):
+        # the beta: count law against the moment oracle, whose sums are all >= 0;
+        # Beta(2, 3) cancels in the count law's moment route from d ~ 20
+        rng = np.random.default_rng(203 + d)
+        pts = rng.uniform(0.9, 1.0, size=(20, d))
+        for alpha, beta in ((2.0, 3.0), (5.0, 1.5), (0.5, 0.5)):
+            want = mixture_copula_cdf(MixtureSpec.beta(alpha, beta, d), d, pts)
+            got = cdf(beta_mixture_copula(alpha, beta, d), pts)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_independence_law_is_product(self):
         rng = np.random.default_rng(202)
         c = GfgmCopula.independence(rng.uniform(0.05, 0.95, size=200))

@@ -92,6 +92,7 @@ REFERENCE_NAMES = (
     "fgm_thetas",
     "huang_kotz_cdf",
     "marginal_cdf_representation",
+    "mixture_copula_cdf",
 )
 
 
@@ -176,6 +177,7 @@ def test_reference_forms_live_in_reference(name):
     assert getattr(gfgm, name) is getattr(gfgm.reference, name)
     assert name in gfgm.reference.__all__
     assert name not in vars(gfgm.copula)
+    assert name not in vars(gfgm.exchangeable)
 
 
 _MARGIN_ROUTES = {

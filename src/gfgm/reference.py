@@ -20,7 +20,6 @@ other module of the package imports this one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ from .bernoulli import (
     validate_margin,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
-from .exchangeable import MixtureSpec
+from .exchangeable import MixtureSpec, _scaled_count_masses
 
 __all__ = [
     "BivariateGfgm",
@@ -148,7 +147,8 @@ def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
     contracts it with E[Lambda^k]; equals the cdf of the copula of
     ``mixture_count_pmf(spec, d)``.  Both factors are >= 0 on [0, 1], so
     nothing cancels at any d.  Moments that no law on [0, 1] has are
-    rejected first (:func:`_check_hausdorff`).
+    rejected first, by the rule of ``mixture_count_pmf``'s moment route
+    (``exchangeable._scaled_count_masses``).
     """
     d = validate_dimension(d)
     p = validate_margin(spec.moment(1))  # the mixture mean E[Lambda]
@@ -156,7 +156,7 @@ def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
     x = _pow_log(pts, 1.0 / (1.0 - p))
     mom = np.array([spec.moment(k) for k in range(d + 1)])
     if spec.moments is not None:
-        _check_hausdorff(mom)
+        _scaled_count_masses(mom.tolist())
     f0, f1 = x, (pts - x) / p
     sums = np.zeros((pts.shape[0], d + 1))  # coefficients of Lambda^k
     sums[:, 0] = 1.0
@@ -166,32 +166,6 @@ def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
         sums[:, 1 : m + 2] += upper * f1[:, m : m + 1]
     out = sums @ mom
     return float(out[0]) if single else out
-
-
-def _check_hausdorff(mom: np.ndarray) -> None:
-    """Raise unless m_0..m_d are, to rounding, the moments of a law on [0, 1].
-
-    They are exactly when every alternating sum
-    q_k / C(d, k) = sum_r (-1)^r C(d-k, r) m_(k+r) is >= 0.  Each is an fsum
-    of terms C(d-k, r) / 2^(d-k) m_(k+r), rounded twice from exact integer
-    binomials (the power of two keeps them finite at any d), so its rounding
-    error is below eps times the sum of its |terms|; a sum below -4 times
-    that bound is negative.  Valid Beta moments at d = 40..300 stay above
-    -0.07 of the bound, although their sums cancel from d ~ 20.  O(d^2).
-    """
-    bound = 4.0 * np.finfo(float).eps
-    mom = mom.tolist()
-    d = len(mom) - 1
-    row = [1]  # C(n, r) for r = 0..n, where n = d - k
-    for n in range(d + 1):
-        scale = 1 << n
-        terms = [(-1) ** r * (c / scale) * m for r, (c, m) in enumerate(zip(row, mom[d - n :]))]
-        if math.fsum(terms) < -bound * math.fsum(map(abs, terms)):
-            raise InvalidDistributionError(
-                f"moment sequence yields negative count mass q_{d - n}: "
-                "no law on [0, 1] has these moments"
-            )
-        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gfgm import (
     BernoulliPmf,
@@ -23,6 +25,7 @@ from gfgm import (
     theta_of,
 )
 from gfgm.bernoulli import (
+    IndependenceLaw,
     bitstring_to_mask,
     format_pmf_text,
     mask_to_bitstring,
@@ -30,7 +33,13 @@ from gfgm.bernoulli import (
     parse_pmf_text,
 )
 from gfgm.reference import fgm_thetas
-from gfgm.exchangeable import ExchangeableCountPmf, expand
+from gfgm.exchangeable import (
+    ExchangeableCountPmf,
+    comonotone_count_pmf,
+    end_count_pmf,
+    end_pmf,
+    expand,
+)
 from gfgm.sampling import sample_bernoulli
 
 from conftest import random_dense_pmf, random_sparse_pmf
@@ -244,8 +253,45 @@ class TestMoments:
 
     def test_invalid_moment_sequence_rejected(self):
         mu = np.array([1.0, 0.9, 0.9, 0.4])  # mu_12 < mu_1 + mu_2 - 1 fails
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(InvalidDistributionError, match="negative mass"):
             moments_to_pmf(mu)
+
+    @pytest.mark.parametrize("d", [8, 12, 16, 20])
+    def test_round_trips_keep_the_support(self, d):
+        # rounding residue of the inversion is 0: END(0.37) at d = 8 comes
+        # back with its 84 atoms, not 92, and at d = 20 with 203 490
+        rng = np.random.default_rng(400 + d)
+        atom_laws = [
+            end_pmf(0.37, d),
+            comonotonic(rng.uniform(0.1, 0.9, d)),
+            *(random_sparse_pmf(rng, d, n, margin_band=(0.0, 1.0)) for n in (12, 60, 200)),
+        ]
+        for pmf in atom_laws:
+            back = moments_to_pmf(pmf_to_moments(pmf))
+            assert back.masks.tolist() == pmf.masks.tolist()
+            assert back.probs == pytest.approx(pmf.probs, rel=1e-9, abs=0.0)
+        laws = [
+            end_count_pmf(0.37, d),
+            comonotone_count_pmf(0.3, d),
+            ExchangeableCountPmf(d, rng.dirichlet(np.ones(d + 1))),
+            IndependenceLaw(rng.uniform(0.1, 0.9, d)),
+        ]
+        for law in laws:
+            back = moments_to_pmf(law.moments())
+            assert back.masks.tolist() == law.as_atoms().masks.tolist()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_sparse_round_trip_property(self, d, n_atoms, seed):
+        rng = np.random.default_rng(seed)
+        masks = rng.choice(1 << d, size=min(n_atoms, 1 << d), replace=False)
+        probs = rng.dirichlet(np.ones(masks.size))
+        on = (masks[:, None] >> np.arange(d)) & 1
+        assume(np.all(on.any(axis=0) & ~on.all(axis=0)))  # every margin inside (0, 1)
+        pmf = BernoulliPmf(d, masks, probs)
+        back = moments_to_pmf(pmf_to_moments(pmf))
+        assert back.masks.tolist() == pmf.masks.tolist()
+        np.testing.assert_allclose(back.probs, pmf.probs, rtol=0, atol=1e-15)
 
 
 class TestComplement:

@@ -314,7 +314,9 @@ class TestMixtures:
         )
 
 
-    @pytest.mark.parametrize("alpha,beta,d", [(2.0, 3.0, 22), (5.0, 1.5, 19), (1.0, 1.0, 20)])
+    @pytest.mark.parametrize(
+        "alpha,beta,d", [(2.0, 3.0, 22), (2.0, 3.0, 40), (2.0, 3.0, 60), (5.0, 1.5, 19), (1.0, 1.0, 20)]
+    )
     def test_cancellation_is_named(self, alpha, beta, d):
         # the moment route's alternating sum cancels; the error says so and
         # names the two routes that avoid it
@@ -324,6 +326,16 @@ class TestMixtures:
         assert "count masses sum to" in text and f"cancelled at d={d}" in text
         assert "quadrature MixtureSpec" in text and "beta:alpha,beta" in text
         assert "beta_mixture_copula" in text
+
+    def test_dimension_limit_is_named(self):
+        # C(1030, 515) overflows a float: both routes refuse d = 1030 by name
+        nodes = np.linspace(0.05, 0.95, 7)
+        quadrature = MixtureSpec.from_quadrature(nodes, np.full(7, 1 / 7))
+        for spec in (quadrature, MixtureSpec.beta(2.0, 3.0, 1030)):
+            with pytest.raises(InvalidDistributionError, match="count laws need d <= 1029"):
+                mixture_count_pmf(spec, 1030)
+        cp = mixture_count_pmf(quadrature, 1029)
+        assert cp.d == 1029 and cp.p == pytest.approx(0.5, rel=1e-12)
 
     def test_last_clean_moment_route_keeps_its_bytes(self):
         # Layer: numpy-ordered sums only (math.fsum of the moment terms, q.sum())

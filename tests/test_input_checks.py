@@ -150,6 +150,11 @@ API_CASES = {
     ),
     "moments-length": (lambda: moments_to_pmf(np.ones(6)), InvalidDistributionError, r"2\^d with d >= 2"),
     "moments-d1": (lambda: moments_to_pmf([1.0, 0.5]), InvalidDistributionError, r"2\^d with d >= 2"),
+    "moments-non-finite": (
+        lambda: moments_to_pmf([1.0, np.inf, 0.5, 0.3]),
+        InvalidDistributionError,
+        "moments must be finite",
+    ),
     "moments-empty-subset": (
         lambda: moments_to_pmf([0.5, 0.25, 0.25, 0.1]),
         InvalidDistributionError,

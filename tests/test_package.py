@@ -120,6 +120,35 @@ def test_no_production_module_imports_reference():
             assert not _imports_reference(module), module.name
 
 
+def _called_names(tree):
+    return {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_one_rule_decides_whether_moments_form_a_law():
+    # bernoulli._law_masses is the rule; moments_to_pmf and the count route
+    # apply it, and the oracle's check of its moments is the count route's
+    # helper, with no alternating sum of its own
+    package = pathlib.Path(gfgm.__file__).parent
+    trees = {m.stem: ast.parse(m.read_text()) for m in package.glob("*.py")}
+    functions = {
+        (stem, node.name): node
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert [key for key in functions if key[1] == "_law_masses"] == [("bernoulli", "_law_masses")]
+    assert "_law_masses" in _called_names(functions["bernoulli", "moments_to_pmf"])
+    assert "_law_masses" in _called_names(functions["exchangeable", "_scaled_count_masses"])
+    assert "_scaled_count_masses" in _called_names(functions["exchangeable", "mixture_count_pmf"])
+    assert "_scaled_count_masses" in _called_names(functions["reference", "mixture_copula_cdf"])
+    assert gfgm.reference._scaled_count_masses is gfgm.exchangeable._scaled_count_masses
+    assert not {"fsum", "comb", "finfo"} & _called_names(trees["reference"])
+
+
 def _atom_form_reads(tree, inside=None):
     """Reads of ``.bernoulli`` and calls of ``as_atoms()`` outside their own definitions."""
     found = []

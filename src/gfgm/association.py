@@ -160,29 +160,33 @@ def measures(c: GfgmCopula) -> AssociationReport:
     return AssociationReport(lo, up, 0.5 * (lo + up), t, d, "closed_form")
 
 
-def _orthant_rho(pref: float, g0: float, g1: float, d: int, support) -> float:
-    """pref (E[prod g] - 1), one orthant rho of a count law, for pref = ``_prefactor(d)``.
-
-    Each margin carries the pair (g0, g1), one side of :func:`_orthant_kernels`,
-    so each (count, mass) pair (k, w) of ``support`` adds w g1^k g0^(d-k), in
-    count order, in Python floats (libm's ``pow``).  The kernel of both
-    extreme closed forms and of ``gfgm tables``.
-    """
-    total = 0.0
-    for k, w in support:
-        total += w * g1**k * g0 ** (d - k)
-    return pref * (total - 1.0)
-
-
 def _orthant_rhos(p: float, d: int, support) -> tuple[float, float]:
-    """(rho_cL, rho_cU) on ``support`` at a checked p; ``_prefactor`` checks d before any 2^d."""
+    """(rho_cL, rho_cU) of a count law with margin p on ``support``, (count, mass) pairs.
+
+    Every margin carries the pair (g0, g1) of :func:`_orthant_kernels`, so
+    k ones add w g1^k g0^(d-k), in count order, in Python floats (each power
+    is libm's ``pow``).  ``p`` is a checked margin; ``_prefactor`` checks d
+    before any 2^d.  The kernel of both extreme closed forms and of
+    ``gfgm tables``.
+    """
     pref = _prefactor(d)
-    return tuple(_orthant_rho(pref, g0, g1, d, support) for g0, g1 in _orthant_kernels(p))
+    (l0, l1), (u0, u1) = _orthant_kernels(p)
+    lo = up = 0.0
+    for k, w in support:
+        m = d - k
+        lo += w * l1**k * l0**m
+        up += w * u1**k * u0**m
+    return pref * (lo - 1.0), pref * (up - 1.0)
 
 
-def _comonotone_support(p: float, d: int) -> tuple[tuple[int, float], ...]:
-    """(count, mass) pairs of the comonotone count law on {0, d}, the maximal one."""
-    return ((0, 1.0 - p), (d, p))
+def _comonotone_rhos(p: float, d: int) -> tuple[float, float]:
+    """(rho_cL, rho_cU) of the comonotone count law on {0, d}, the maximal ones."""
+    return _orthant_rhos(p, d, ((0, 1.0 - p), (d, p)))
+
+
+def _end_rhos(p: float, d: int) -> tuple[float, float]:
+    """(rho_cL, rho_cU) of the END count law, the minimal exchangeable ones."""
+    return _orthant_rhos(p, d, _end_support(p, d))
 
 
 def _comonotone_tau(p: float, d: int) -> float:
@@ -199,12 +203,12 @@ def max_measures_gfgm_p(p: float, d: int) -> AssociationReport:
 
     The comonotone count law on {0, d}, through the per-margin kernels as
     powers, so that d in the hundreds stays in floating range
-    (:func:`_orthant_rhos`, :func:`_comonotone_tau`).  Must agree with the
+    (:func:`_comonotone_rhos`, :func:`_comonotone_tau`).  Must agree with the
     generic formulas applied to the comonotone law.
     """
     p = validate_margin(p)
     d = validate_dimension(d)
-    lo, up = _orthant_rhos(p, d, _comonotone_support(p, d))
+    lo, up = _comonotone_rhos(p, d)
     return AssociationReport(lo, up, 0.5 * (lo + up), _comonotone_tau(p, d), d, "closed_form")
 
 
@@ -219,7 +223,7 @@ def min_measures_exchangeable(p: float, d: int) -> tuple[float, float]:
     """
     p = validate_margin(p)
     d = validate_dimension(d)
-    return _orthant_rhos(p, d, _end_support(p, d))
+    return _end_rhos(p, d)
 
 
 # ---------------------------------------------------------------------------

@@ -184,9 +184,11 @@ def _normalised(masses: np.ndarray, noun: str) -> np.ndarray:
 def _law_masses(sums, abs_sums, noun: str) -> np.ndarray:
     """The one rule for masses inverted from moments: signed ``sums`` of moments.
 
-    A sum below -4 eps times its ``abs_sums`` (the sum of its terms' absolute
-    values, which bounds its rounding error) means no law has these moments and
-    raises, naming the last such i as ``noun.format(i)``; one within that bound is 0.
+    4 eps times ``abs_sums`` bounds each sum's rounding error: the sum of its
+    terms' absolute values for one fsum of twice-rounded terms, times the number
+    of rounding steps for a chain of them.  A sum below -bound means no law has
+    these moments and raises, naming the last such i as ``noun.format(i)``; one
+    within the bound is 0.
     """
     bound = 4.0 * np.finfo(float).eps * np.asarray(abs_sums, dtype=float)
     negative = np.flatnonzero(sums < -bound)
@@ -724,7 +726,8 @@ def moments_to_pmf(moments: np.ndarray) -> BernoulliPmf:
     """Invert :func:`pmf_to_moments` by Mobius inversion over the subset lattice.
 
     Each mass, an alternating sum of moments, is judged by :func:`_law_masses`
-    against one more butterfly over |mu|: O(d 2^d) in all.
+    against one more butterfly over |mu|, times d for the d rounding steps of
+    each butterfly (the inverse's and the one that formed the moments): O(d 2^d).
     """
     moments = np.asarray(moments, dtype=float)
     n = moments.size
@@ -736,7 +739,7 @@ def moments_to_pmf(moments: np.ndarray) -> BernoulliPmf:
     if abs(moments[0] - 1.0) > PROB_ATOL:
         raise InvalidDistributionError("empty-subset moment must be 1")
     f = _subset_sums(moments, d, superset=True, sign=-1.0)
-    f = _law_masses(f, _subset_sums(np.abs(moments), d, superset=True, sign=1.0), "mass")
+    f = _law_masses(f, d * _subset_sums(np.abs(moments), d, superset=True, sign=1.0), "mass")
     masks = np.nonzero(f)[0].astype(np.int64)
     return BernoulliPmf(d, masks, f[masks])
 

@@ -14,9 +14,9 @@ the command leaves unrecognized) is parsed by the full top-level parser with
 all seven subparsers; a missing or invalid value stops in the command's own
 parser, which words it as the subparser would.  So help and error text are
 unchanged, byte for byte.  ``tables``
-checks each p once, forms each d's prefactor and each p's kernels once,
-and computes only the measure it prints, from the kernels that
-``max_measures_gfgm_p`` and ``min_measures_exchangeable`` share.
+checks each p once and forms each cell from the kernels that
+``max_measures_gfgm_p`` and ``min_measures_exchangeable`` share (a rho cell
+forms both orthant sums and prints one).
 The numeric tables of ``sample``, ``pdf-grid`` and ``eval`` go through
 ``_write_rows``, which writes every chunk of ``%.Ng`` text (N <= 17) by an
 exact vectorised conversion, byte for byte what ``'%.Ng' % x`` writes; the
@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import association, exchangeable, sampling
-from .bernoulli import InvalidDistributionError, _end_support, validate_margin
+from .bernoulli import InvalidDistributionError, validate_margin
 from .copula import cdf, cdf_natural, pdf
 from .specio import _KEYS as _SPEC_KEYS, build_copula, load_copula_spec
 
@@ -334,38 +334,32 @@ def _cmd_measures(args) -> int:
     return 0
 
 
-def _rho_table(support, sides, ps, ds):
-    """Rows over ps, a cell per d, of the orthant rho ``sides`` (0 lower, 1 upper, both: rho_c)."""
-    prefs = [association._prefactor(d) for d in ds]
-    rows = []
-    for p in ps:
-        kernels = association._orthant_kernels(p)
-        rows.append([])
-        for pref, d in zip(prefs, ds):
-            r = [association._orthant_rho(pref, *kernels[s], d, support(p, d)) for s in sides]
-            rows[-1].append(r[0] if len(r) == 1 else 0.5 * (r[0] + r[1]))
-    return rows
+def _max_rho_c(p, d):
+    lo, up = association._comonotone_rhos(p, d)
+    return 0.5 * (lo + up)
 
 
-# --which -> (dimensions, the rows of cells over checked margins and dimensions),
+# --which -> (dimensions, the cell at a checked margin p and dimension d), each
 # from the kernels of ``max_measures_gfgm_p`` and ``min_measures_exchangeable``
 _TABLES = {
-    "rhoL-max": (MAX_TABLE_DS, functools.partial(_rho_table, association._comonotone_support, (0,))),
-    "rhoU-max": (MAX_TABLE_DS, functools.partial(_rho_table, association._comonotone_support, (1,))),
-    "rhoC-max": (MAX_TABLE_DS, functools.partial(_rho_table, association._comonotone_support, (0, 1))),
-    "tau-max": (MAX_TABLE_DS, lambda ps, ds: [[association._comonotone_tau(p, d) for d in ds] for p in ps]),
-    "rhoL-min": (MIN_TABLE_DS, functools.partial(_rho_table, _end_support, (0,))),
-    "rhoU-min": (MIN_TABLE_DS, functools.partial(_rho_table, _end_support, (1,))),
+    "rhoL-max": (MAX_TABLE_DS, lambda p, d: association._comonotone_rhos(p, d)[0]),
+    "rhoU-max": (MAX_TABLE_DS, lambda p, d: association._comonotone_rhos(p, d)[1]),
+    "rhoC-max": (MAX_TABLE_DS, _max_rho_c),
+    "tau-max": (MAX_TABLE_DS, association._comonotone_tau),
+    "rhoL-min": (MIN_TABLE_DS, lambda p, d: association._end_rhos(p, d)[0]),
+    "rhoU-min": (MIN_TABLE_DS, lambda p, d: association._end_rhos(p, d)[1]),
 }
 
 
 def _cmd_tables(args) -> int:
     which = args.which
-    ds, table = _TABLES[which]
+    ds, cell = _TABLES[which]
     if not 0 <= args.precision <= MAX_PRECISION:
         raise InvalidDistributionError(f"--precision must be from 0 to {MAX_PRECISION}")
-    ps = [validate_margin(p) for p in TABLE_PS]
-    values = [v for p, row in zip(ps, table(ps, ds)) for v in (p, *row)]
+    values = []
+    for p in map(validate_margin, TABLE_PS):
+        values.append(p)
+        values += [cell(p, d) for d in ds]
     with _output(args.out) as fh:
         print(f"# table {which}", file=fh)
         print("p," + ",".join(str(d) for d in ds), file=fh)

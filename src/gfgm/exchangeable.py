@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -350,7 +351,7 @@ class MixtureSpec:
                 raise InvalidDistributionError("need moments E[L^k] for k = 0..K, K >= 1")
             if not abs(m[0] - 1.0) <= PROB_ATOL:
                 raise InvalidDistributionError("zeroth moment must be 1")
-            if not np.all((m >= -PROB_ATOL) & (m <= 1.0 + PROB_ATOL)):  # also rejects NaN
+            if not np.all((m >= 0.0) & (m <= 1.0)):  # exact, as the count route's rule; rejects NaN
                 raise InvalidDistributionError("moments of a [0,1] variable lie in [0,1]")
             object.__setattr__(self, "moments", m)
         else:
@@ -413,7 +414,7 @@ def mixture_count_pmf(spec: MixtureSpec, d: int) -> ExchangeableCountPmf:
         q = binom * [float(w @ (x**k * (1.0 - x) ** (d - k))) for k in range(d + 1)]
         return ExchangeableCountPmf(d, q)
     mom = [spec.moment(k) for k in range(d + 1)]
-    q = binom * np.ldexp(_scaled_count_masses(mom), np.arange(d, -1, -1))
+    q = binom * _outcome_masses(mom)
     total = float(q.sum())
     if not abs(total - 1.0) <= SUM_SLACK:
         raise InvalidDistributionError(
@@ -425,22 +426,30 @@ def mixture_count_pmf(spec: MixtureSpec, d: int) -> ExchangeableCountPmf:
     return ExchangeableCountPmf(d, q)
 
 
-def _scaled_count_masses(mom: list[float]) -> np.ndarray:
-    """q_k / (C(d, k) 2^(d-k)) from moments m_0..m_d, judged by :func:`_law_masses`.
+def _outcome_masses(mom: list[float]) -> np.ndarray:
+    """q_k / C(d, k) from moments m_0..m_d, each judged by :func:`_law_masses`.
 
-    Each is an fsum of (-1)^r C(d-k, r) / 2^(d-k) m_(k+r), from one exact Pascal row
-    per d - k: the power of two keeps the terms finite, and undoing it is exact.  O(d^2).
-    Valid Beta moments at d = 20..300 stay above -0.27 eps times the sum of |terms|.
+    Each is an fsum of (-1)^r C(d-k, r) m_(k+r), from one exact Pascal row per
+    d - k.  Past d - k = 1000 every term is divided by 2^(d-k-1000), so the sum
+    of |terms| (at most 2^1000) stays finite, and the sum is multiplied back
+    exactly; rows up to 1000 are scaled by nothing.  O(d^2).  A moment below
+    2^-1022 is rounded absolutely, not relatively, which the rule's bound does
+    not cover: a negative mass then names that, not the absence of a law.
     """
     d = len(mom) - 1
-    sums, abs_sums, row = [], [], [1]
+    sums, abs_sums, shifts, row = [], [], [], [1]
     for n in range(d + 1):  # n = d - k
-        terms = [(-1) ** r * (c / (1 << n)) * m for r, (c, m) in enumerate(zip(row, mom[d - n :]))]
+        shifts.append(max(0, n - 1000))
+        scale = 1 << shifts[-1]
+        terms = [(-1) ** r * (c / scale) * m for r, (c, m) in enumerate(zip(row, mom[d - n :]))]
         sums.append(math.fsum(terms))
         abs_sums.append(math.fsum(map(abs, terms)))
         row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
     noun = "count mass q_{}: no law on [0, 1] has these moments"
-    return _law_masses(sums[::-1], abs_sums[::-1], noun)
+    if min(mom) < sys.float_info.min:  # 2^-1022; moments lie in [0, 1]
+        noun = "count mass q_{}, from moments below 2^-1022 whose rounding the check cannot bound; "
+        noun += "a quadrature MixtureSpec (MixtureSpec.from_quadrature) avoids it"
+    return np.ldexp(_law_masses(sums[::-1], abs_sums[::-1], noun), shifts[::-1])
 
 
 def _beta_binomial_count_pmf(alpha: float, beta: float, d: int) -> ExchangeableCountPmf:

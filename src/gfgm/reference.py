@@ -37,7 +37,7 @@ from .bernoulli import (
     validate_margin,
 )
 from .copula import GfgmCopula, _as_points, _pow_log
-from .exchangeable import MixtureSpec, _scaled_count_masses
+from .exchangeable import MixtureSpec, _outcome_masses
 
 __all__ = [
     "BivariateGfgm",
@@ -148,7 +148,7 @@ def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
     ``mixture_count_pmf(spec, d)``.  Both factors are >= 0 on [0, 1], so
     nothing cancels at any d.  Moments that no law on [0, 1] has are
     rejected first, by the rule of ``mixture_count_pmf``'s moment route
-    (``exchangeable._scaled_count_masses``).
+    (``exchangeable._outcome_masses``).
     """
     d = validate_dimension(d)
     p = validate_margin(spec.moment(1))  # the mixture mean E[Lambda]
@@ -156,7 +156,7 @@ def mixture_copula_cdf(spec: MixtureSpec, d: int, u):
     x = _pow_log(pts, 1.0 / (1.0 - p))
     mom = np.array([spec.moment(k) for k in range(d + 1)])
     if spec.moments is not None:
-        _scaled_count_masses(mom.tolist())
+        _outcome_masses(mom.tolist())
     f0, f1 = x, (pts - x) / p
     sums = np.zeros((pts.shape[0], d + 1))  # coefficients of Lambda^k
     sums[:, 0] = 1.0

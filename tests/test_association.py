@@ -182,11 +182,10 @@ class TestExtremeClosedForms:
             "rhoU-min": lambda p, d: min_measures_exchangeable(p, d)[1],
         }
         assert list(cli._TABLES) == list(public)
-        fine_ps = [k / 1000 for k in range(1, 1000)]
-        for which, (ds, table) in cli._TABLES.items():
-            for ps, grid_ds in ((cli.TABLE_PS, ds), (fine_ps, _EXTREME_DS)):
-                want = [[public[which](p, d) for d in grid_ds] for p in ps]
-                assert table(ps, grid_ds) == want
+        grid = [(k / 1000, d) for d in _EXTREME_DS for k in range(1, 1000)]
+        for which, (ds, cell) in cli._TABLES.items():
+            cells = [(p, d) for p in cli.TABLE_PS for d in ds] + grid
+            assert [cell(p, d) for p, d in cells] == [public[which](p, d) for p, d in cells]
 
     @pytest.mark.parametrize("p", [0.05, 0.3, 0.37, 0.5, 0.8, 0.95])
     @pytest.mark.parametrize("d", [50, 200, 1000, 1023])

@@ -263,6 +263,7 @@ class TestMoments:
         rng = np.random.default_rng(400 + d)
         atom_laws = [
             end_pmf(0.37, d),
+            end_pmf(1 / d, d),
             comonotonic(rng.uniform(0.1, 0.9, d)),
             *(random_sparse_pmf(rng, d, n, margin_band=(0.0, 1.0)) for n in (12, 60, 200)),
         ]

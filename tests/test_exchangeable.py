@@ -337,6 +337,20 @@ class TestMixtures:
         cp = mixture_count_pmf(quadrature, 1029)
         assert cp.d == 1029 and cp.p == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1000, 1029])
+    def test_moment_route_holds_at_the_dimension_limit(self, d):
+        # a point mass at 1e-3 does not cancel: the moment route agrees with
+        # the quadrature route down to the masses whose moments underflow
+        q = mixture_count_pmf(MixtureSpec.degenerate(1e-3, d), d).q
+        point = MixtureSpec.from_quadrature(np.array([1e-3]), np.array([1.0]))
+        np.testing.assert_allclose(q, mixture_count_pmf(point, d).q, rtol=1e-12, atol=1e-100)
+
+    def test_underflowed_moments_are_not_called_lawless(self):
+        # 0.01^k falls below 2^-1022 from k = 154, where rounding is absolute
+        with pytest.raises(InvalidDistributionError, match="below 2\\^-1022") as err:
+            mixture_count_pmf(MixtureSpec.degenerate(0.01, 1000), 1000)
+        assert "no law" not in str(err.value) and "quadrature MixtureSpec" in str(err.value)
+
     def test_last_clean_moment_route_keeps_its_bytes(self):
         # Layer: numpy-ordered sums only (math.fsum of the moment terms, q.sum())
         q = mixture_count_pmf(MixtureSpec.beta(2.0, 3.0, 21), 21).q

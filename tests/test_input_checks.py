@@ -182,6 +182,11 @@ API_CASES = {
         InvalidDistributionError,
         "congruent 1-D",
     ),
+    "mixture-moment-range": (
+        lambda: MixtureSpec.from_moments([1.0, 1.0, 1.0 + 1e-13]),
+        InvalidDistributionError,
+        r"lie in \[0,1\]",
+    ),
     "mixture-moment-order": (
         lambda: MixtureSpec.from_moments([1.0, 0.5]).moment(2),
         InvalidDistributionError,

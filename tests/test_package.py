@@ -142,10 +142,10 @@ def test_one_rule_decides_whether_moments_form_a_law():
     }
     assert [key for key in functions if key[1] == "_law_masses"] == [("bernoulli", "_law_masses")]
     assert "_law_masses" in _called_names(functions["bernoulli", "moments_to_pmf"])
-    assert "_law_masses" in _called_names(functions["exchangeable", "_scaled_count_masses"])
-    assert "_scaled_count_masses" in _called_names(functions["exchangeable", "mixture_count_pmf"])
-    assert "_scaled_count_masses" in _called_names(functions["reference", "mixture_copula_cdf"])
-    assert gfgm.reference._scaled_count_masses is gfgm.exchangeable._scaled_count_masses
+    assert "_law_masses" in _called_names(functions["exchangeable", "_outcome_masses"])
+    assert "_outcome_masses" in _called_names(functions["exchangeable", "mixture_count_pmf"])
+    assert "_outcome_masses" in _called_names(functions["reference", "mixture_copula_cdf"])
+    assert gfgm.reference._outcome_masses is gfgm.exchangeable._outcome_masses
     assert not {"fsum", "comb", "finfo"} & _called_names(trees["reference"])
 
 

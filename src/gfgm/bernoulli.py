@@ -58,13 +58,11 @@ once from the masks, picks one of three schedules:
   order give every atom's product, and ``probs @ (prefix * suffix)`` their
   sum: about 4d + 2 n_atoms per point.
 
-The plan takes the schedule with the smallest count, where the two block
-schedules also pay 8 per block for their tables, and grouped beats per atom
-exactly when its own count is the smaller.  Dense supports (a full-support
-d = 10 pmf has 1024 atoms in 64 groups) are grouped; comonotone laws with
-distinct margins from d = 13 up take the chain; random sparse supports,
-short chains (a d = 10 comonotone law, or a 2-atom equal-margin one) and
-every pmf with d <= 4 stay on the per-atom schedule.
+Nested masks take the chain; otherwise the block schedule with the smaller
+count.  Dense supports (a full-support d = 10 pmf has 1024 atoms in 64
+groups) are grouped, random sparse supports stay per atom, and every
+comonotone law, short or long, with distinct or tied margins, takes the
+chain.
 """
 
 from __future__ import annotations
@@ -87,6 +85,9 @@ BLOCK_BITS = 4
 _BLOCK_SIZE = 1 << BLOCK_BITS
 #: Float64 elements in the transient working set of ``expect_products`` (1 MB).
 CHUNK_ELEMENTS = 1 << 17
+#: Runs of at least this many running-product rows that no atom reads are
+#: folded by one reduce along a chain; shorter runs are multiplied row by row.
+_FOLD_ROWS = 6
 
 __all__ = [
     "BernoulliPmf",
@@ -154,6 +155,25 @@ def _integral(value, noun: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():  # not NaN or inf
         return int(value)
     raise InvalidDistributionError(f"{noun} must be an integer, got {value!r}")
+
+
+def _outcome_masks(masks, d: int) -> np.ndarray:
+    """``masks`` as int64 outcome masks, each an integer in [0, 2^d).
+
+    Integer arrays are range-checked as they are.  Anything else is checked
+    mask by mask by the rule of :func:`validate_dimension` (3.0 passes, 0.5
+    and "1" do not) and against the range before the cast, which would
+    truncate, parse or overflow it.
+    """
+    out = np.asarray(masks)
+    if out.dtype.kind not in "iu":
+        # the objects as given: a float array would round integers above 2^53
+        given = np.asarray(masks, dtype=object)
+        checked = [_integral(m, "outcome mask") for m in given.ravel().tolist()]
+        out = np.array(checked, dtype=object).reshape(given.shape)
+    if np.any(out < 0) or np.any(out >= 1 << d):
+        raise InvalidDistributionError("outcome mask out of range for dimension")
+    return out.astype(np.int64, copy=False)
 
 
 def validate_margins(p) -> np.ndarray:
@@ -292,10 +312,10 @@ class _Plan(NamedTuple):
     A unit is an atom (per-atom and chain schedules) or a group of atoms
     sharing every bit above the lowest block (grouped schedule).  Per point,
     "per-atom" costs n_atoms * n_blocks multiplications and "grouped"
-    groups * (n_blocks - 1 + 16), each after its 4-bit block tables (counted
-    as 8 per block); "chain", for nested masks only, costs about
-    4d + 2 n_atoms, its table being the running products along the order in
-    which the margins switch on.  The plan takes the smallest count.
+    groups * (n_blocks - 1 + 16), each after its 4-bit block tables;
+    "chain" costs about 4d + 2 n_atoms, its table being the running products
+    along the order in which the margins switch on.  Nested masks take the
+    chain; otherwise the block schedule with the smaller count.
     """
 
     #: (n_units, 16) masses of each group by lowest-block pattern; None otherwise.
@@ -306,6 +326,8 @@ class _Plan(NamedTuple):
     weights: np.ndarray
     #: Margins in the order they switch on along a chain; None on blocks.
     order: np.ndarray | None
+    #: Steps (a, c) of the chain's running products (see ``_chain_scan``); None on blocks.
+    scan: tuple | None
     #: Units contracted together, and points per chunk, within CHUNK_ELEMENTS.
     span: int
     chunk: int
@@ -327,12 +349,32 @@ def _is_chain(masks: np.ndarray, d: int) -> bool:
     return not np.any(masks[:-1] & ~masks[1:])
 
 
-def _chain_products(f0: np.ndarray, f1: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _chain_scan(counts: np.ndarray, d: int) -> tuple:
+    """Steps (a, c) that form the running products an atom reads, c margins on.
+
+    The rows read are c and d - c for each atom's count c.  A run of at least
+    ``_FOLD_ROWS`` rows between two of them that no atom reads is one step
+    (a, c), row c times rows a .. c-1; every other row c is a step (c - 1, c).
+    """
+    # a set, not np.union1d: that imports numpy.ma, 1.7 MB resident
+    stops = sorted({*counts.tolist(), *(d - counts).tolist()})
+    scan = []
+    for a, c in zip(stops, stops[1:]):
+        if c - a > _FOLD_ROWS:
+            scan.append((a, c))
+        else:
+            scan.extend((r - 1, r) for r in range(a + 1, c + 1))
+    return tuple(scan)
+
+
+def _chain_products(f0: np.ndarray, f1: np.ndarray, order: np.ndarray, scan: tuple) -> np.ndarray:
     """(2 (d + 1), m) running products along a chain, for (m, d) factor tables.
 
     Row 2c is the product of f1 over the first c margins of ``order``, and
     row 2c + 1 that of f0 over the last c, so an atom with c margins on
-    reads rows 2c and 2 (d - c) + 1.
+    reads rows 2c and 2 (d - c) + 1.  Only the rows that ``scan`` stops at
+    hold running products.  A fold multiplies rows a .. c-1 left to right,
+    as the step-by-step loop does, so those rows keep its bits.
     """
     d, m = order.size, f0.shape[0]
     table = np.empty((d + 1, 2, m))
@@ -340,8 +382,8 @@ def _chain_products(f0: np.ndarray, f1: np.ndarray, order: np.ndarray) -> np.nda
     # one gathered (d, m) copy alive at a time
     table[1:, 0] = f1.T[order]
     table[1:, 1] = f0.T[order[::-1]]
-    for c in range(1, d + 1):
-        table[c] *= table[c - 1]
+    for a, c in scan:
+        table[c] *= table[a] if c - a == 1 else np.multiply.reduce(table[a:c], axis=0)
     return table.reshape(-1, m)
 
 
@@ -371,14 +413,12 @@ class BernoulliPmf(_Law):
         object.__setattr__(self, "d", validate_dimension(self.d))
         if not 2 <= self.d <= MAX_DIMENSION:
             raise InvalidDistributionError(f"dimension must be in [2, {MAX_DIMENSION}]")
-        masks = np.asarray(self.masks, dtype=np.int64)
+        masks = _outcome_masks(self.masks, self.d)
         probs = np.asarray(self.probs, dtype=float)
         if masks.ndim != 1 or masks.shape != probs.shape:
             raise InvalidDistributionError("masks and probs must be 1-D and congruent")
         if masks.size == 0:
             raise InvalidDistributionError("pmf needs at least one atom")
-        if np.any(masks < 0) or np.any(masks >= (1 << self.d)):
-            raise InvalidDistributionError("outcome mask out of range for dimension")
         order = np.argsort(masks)
         masks = masks[order]
         if np.any(masks[1:] == masks[:-1]):
@@ -441,17 +481,9 @@ class BernoulliPmf(_Law):
 
     @cached_property
     def _block_rows(self) -> _Plan:
-        """Contraction plan, chosen by the multiplications per point of each schedule."""
+        """Contraction plan: the chain for nested masks, else the cheaper block schedule."""
         d, n_blocks = self.d, -(-self.d // BLOCK_BITS)
-        high = self.masks >> BLOCK_BITS
-        opens = np.r_[True, high[1:] != high[:-1]]  # masks are sorted
-        n_groups = int(opens.sum())
-        per_atom = self.n_atoms * n_blocks
-        grouped = n_groups * (n_blocks - 1 + _BLOCK_SIZE)
-        # the block schedules first write 16 subset products per block, each
-        # in one pass where a gathered row takes two: 8 gathered rows a block
-        tables = n_blocks * _BLOCK_SIZE // 2
-        if 4 * d + 2 * self.n_atoms < min(per_atom, grouped) + tables and _is_chain(self.masks, d):
+        if _is_chain(self.masks, d):
             counts = _popcount(self.masks)
             rows = np.stack([2 * counts, 2 * (d - counts) + 1])
             # margins on in more atoms switch on earlier
@@ -459,7 +491,12 @@ class BernoulliPmf(_Law):
             # per point: the running products, one gathered factor table
             # and two gathered rows per atom
             chunk = max(1, CHUNK_ELEMENTS // (3 * d + 2 + 2 * self.n_atoms))
-            return _Plan(None, rows, self.probs, order, self.n_atoms, chunk)
+            return _Plan(None, rows, self.probs, order, _chain_scan(counts, d), self.n_atoms, chunk)
+        high = self.masks >> BLOCK_BITS
+        opens = np.r_[True, high[1:] != high[:-1]]  # masks are sorted
+        n_groups = int(opens.sum())
+        per_atom = self.n_atoms * n_blocks
+        grouped = n_groups * (n_blocks - 1 + _BLOCK_SIZE)
         if grouped < per_atom:
             low = np.zeros((n_groups, _BLOCK_SIZE))
             low[np.cumsum(opens) - 1, self.masks & (_BLOCK_SIZE - 1)] = self.probs
@@ -473,7 +510,7 @@ class BernoulliPmf(_Law):
         # the block tables and padded factors; spans keep it <= CHUNK_ELEMENTS
         span = min(weights.size, CHUNK_ELEMENTS // 4)
         chunk = max(1, CHUNK_ELEMENTS // (2 * (span + (n_blocks << BLOCK_BITS))))
-        return _Plan(low, rows, weights, None, span, chunk)
+        return _Plan(low, rows, weights, None, None, span, chunk)
 
     _chunk = property(lambda self: self._block_rows.chunk)
 
@@ -486,9 +523,10 @@ class BernoulliPmf(_Law):
         groups * (n_blocks - 1 + 16), with the lowest block contracted by one
         (groups, 16) x (16, chunk) matrix product; both first tabulate the
         blocks' subset products.  A chain forms its running products instead,
-        about 4d + 2 n_atoms per point.  The plan takes the smallest count.
+        about 4d + 2 n_atoms per point.  Nested masks take the chain; otherwise
+        the block schedule with the smaller count.
         """
-        low, rows, weights, order, span, _ = self._block_rows
+        low, rows, weights, order, scan, span, _ = self._block_rows
         m = f0.shape[0]
         if order is None:
             # (block, bit, side, point), padded with unit factors
@@ -497,7 +535,7 @@ class BernoulliPmf(_Law):
             pairs[:, 0], pairs[:, 1] = f0.T, f1.T
             table = _subset_products(factors).reshape(-1, m)
         else:
-            table = _chain_products(f0, f1, order)
+            table = _chain_products(f0, f1, order, scan)
         out = np.zeros(m)
         for a in range(0, weights.size, span):
             unit_rows = rows[:, a : a + span]

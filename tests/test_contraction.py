@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfgm import (
     BernoulliPmf,
@@ -23,9 +25,10 @@ from gfgm import (
     pdf,
     survival,
     tau,
+    theta_bounds,
 )
 from gfgm.association import _orthant_kernels, _tau_kernel
-from gfgm.bernoulli import CHUNK_ELEMENTS, IndependenceLaw
+from gfgm.bernoulli import _FOLD_ROWS, CHUNK_ELEMENTS, IndependenceLaw, _chain_products
 from gfgm.copula import _cdf_factors, _pdf_factors, _pow_log, _survival_factors
 
 
@@ -162,14 +165,18 @@ SCHEDULES = [
     ("sparse-d30", lambda rng: _random_atoms(rng, 30, 256), "per-atom"),
     ("sparse-d31", lambda rng: _random_atoms(rng, 31, 40), "per-atom"),
     ("sparse-d63", lambda rng: _random_atoms(rng, 63, 40), "per-atom"),
-    ("comonotone-d10", _comonotone(10), "per-atom"),
-    ("comonotone-equal-d63", lambda rng: comonotonic(np.full(63, 0.3)), "per-atom"),  # 2 atoms
+    ("comonotone-d3", _comonotone(3), "chain"),
+    ("comonotone-d10", _comonotone(10), "chain"),
+    ("comonotone-equal-d5", lambda rng: comonotonic(np.full(5, 0.4)), "chain"),  # 2 atoms
+    ("comonotone-equal-d63", lambda rng: comonotonic(np.full(63, 0.3)), "chain"),  # 2 atoms
     ("comonotone-d16", _comonotone(16), "chain"),
     ("comonotone-d30", _comonotone(30), "chain"),
     ("comonotone-d63", _comonotone(63), "chain"),
     ("comonotone-ties-d30", _comonotone(30, ties=2), "chain"),  # atoms switch 2 margins on
     ("chain-d40", lambda rng: _random_chain(rng, 40, 21), "chain"),
     ("bivariate", lambda rng: from_theta_bivariate(0.3, 0.6, 0.4), "per-atom"),
+    # 00, 10 and 11: the atom 01 has mass (1 - 0.5) 0.25 - 0.25 0.5 = 0 exactly
+    ("bivariate-upper", lambda rng: from_theta_bivariate(0.25, 0.5, theta_bounds(0.25, 0.5)[1]), "chain"),
     ("independence-d3", lambda rng: independent(rng.uniform(0.2, 0.8, size=3)), "per-atom"),
     ("independence-d4", lambda rng: independent(rng.uniform(0.2, 0.8, size=4)), "per-atom"),
 ]
@@ -192,7 +199,7 @@ def test_both_schedules_match_atom_loop(name, build, schedule):
     np.testing.assert_allclose(got, _atom_loop(pmf, f0, f1), rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("d", [16, 30, 63])
+@pytest.mark.parametrize("d", [2, 4, 10, 16, 30, 63])
 def test_chain_at_the_margin_domain_ends(d):
     # margins of 1e-11 and 1 - 1e-11 give the chain's end atoms masses of
     # 1e-11 and factor pairs with exact zeros; points near 0 take the cdf down
@@ -215,6 +222,50 @@ def test_chain_at_the_margin_domain_ends(d):
         assert np.min(want[want > 0.0]) > 1e-300
     low = cdf(c, pts)
     assert np.any(low == 0.0) and np.min(low[low > 0.0]) < 1e-100
+
+
+def _chain_with_runs(rng, d, run):
+    """Pmf on a random chain whose atoms' counts c, and so d - c, step by ``run`` + 1 from each end."""
+    half = np.arange(0, d // 2 + 1, run + 1)
+    counts = np.union1d(half, d - half)
+    order = rng.permutation(d)
+    masks = [sum(1 << int(j) for j in order[:c]) for c in counts]
+    weights = rng.uniform(0.1, 1.0, size=counts.size)
+    return BernoulliPmf(d, masks, weights / weights.sum())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 63),
+    run=st.sampled_from([1, 2, _FOLD_ROWS, None]),  # None: d - 1, the 2-atom chain
+    chunks=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chains_keep_their_bits_where_runs_are_folded(d, run, chunks, seed):
+    # rows that atoms read are formed by a left fold over the margins, one
+    # reduce per long run of rows that no atom reads; either way bit for bit
+    rng = np.random.default_rng(seed)
+    pmf = _chain_with_runs(rng, d, d - 1 if run is None else run)
+    plan, counts = pmf._block_rows, pmf.bits.sum(axis=1).astype(int)
+    assert plan.schedule == "chain"
+    gaps = np.diff(np.union1d(counts, d - counts)) - 1  # rows no atom reads between two it reads
+    assert any(c - a > 1 for a, c in plan.scan) == any(gaps >= _FOLD_ROWS)
+    n = (chunks - 1) * plan.chunk + 5
+    f0, f1 = rng.uniform(0.5, 1.5, size=(2, n, d))
+    f0[::5, 0] = 0.0
+    f1[::7, d - 1] = 0.0
+    f0[::11, d - 1] = f1[::11, d - 1] = 0.0  # every atom's product is 0
+    got, want = pmf.expect_products(f0, f1), _atom_loop(pmf, f0, f1)
+    assert np.all(got[::11] == 0.0)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    table = _chain_products(f0, f1, plan.order, plan.scan).reshape(d + 1, 2, n)
+    on, off = np.ones((d + 1, n)), np.ones((d + 1, n))
+    for c in range(1, d + 1):
+        on[c] = on[c - 1] * f1[:, plan.order[c - 1]]
+        off[c] = off[c - 1] * f0[:, plan.order[d - c]]
+    assert np.array_equal(table[counts, 0], on[counts])
+    assert np.array_equal(table[d - counts, 1], off[d - counts])
 
 
 # (law builder, points): about 1.3M point values each, 10 MB allocated

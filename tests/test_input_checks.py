@@ -143,6 +143,18 @@ API_CASES = {
     "pmf-congruent": (lambda: BernoulliPmf(2, [0, 1], [1.0]), InvalidDistributionError, "congruent"),
     "pmf-no-atom": (lambda: BernoulliPmf(2, [], []), InvalidDistributionError, "at least one atom"),
     "pmf-mask-range": (lambda: BernoulliPmf(2, [4], [1.0]), InvalidDistributionError, "out of range"),
+    "pmf-mask-fraction": (
+        lambda: BernoulliPmf(2, [0.5, 3], [0.5, 0.5]), InvalidDistributionError, "must be an integer, got 0.5"
+    ),
+    "pmf-mask-string": (
+        lambda: BernoulliPmf(2, ["1", "2"], [0.5, 0.5]), InvalidDistributionError, "must be an integer, got '1'"
+    ),
+    "pmf-mask-int64-overflow": (
+        lambda: BernoulliPmf(63, [0, 2**63], [0.5, 0.5]), InvalidDistributionError, "out of range"
+    ),
+    "pmf-mask-uint64-overflow": (
+        lambda: BernoulliPmf(63, [0, 2**64], [0.5, 0.5]), InvalidDistributionError, "out of range"
+    ),
     "bitstring-lengths": (
         lambda: BernoulliPmf.from_bitstrings({"01": 0.5, "011": 0.5}),
         InvalidDistributionError,
@@ -228,6 +240,17 @@ def test_api_raises_its_documented_error(name):
     with pytest.raises(error, match=message) as info:
         call()
     assert info.type is error
+
+
+def test_integral_masks_pass_as_ints():
+    # masks follow the dimension rule: 3.0 and np.uint64(3) are the mask 3
+    want = BernoulliPmf(2, [0, 3], [0.5, 0.5])
+    for masks in ([0.0, 3.0], np.array([0, 3], dtype=np.uint64), [np.int64(0), 3.0]):
+        got = BernoulliPmf(2, masks, [0.5, 0.5])
+        assert got.masks.dtype == np.int64 and got.as_dict() == want.as_dict()
+    # a float beside a large integer leaves that integer exact
+    big = BernoulliPmf(63, [0.0, 2**62 + 1, 2**63 - 1], [0.25, 0.25, 0.5])
+    assert big.masks.tolist() == [0, 2**62 + 1, 2**63 - 1]
 
 
 def test_integral_draw_arguments_pass_as_ints():

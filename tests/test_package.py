@@ -58,6 +58,16 @@ def test_tables_command_loads_no_third_party_module(tmp_path):
     assert out.read_text().startswith("# table tau-max\n")
 
 
+def test_chain_plan_leaves_numpy_ma_unloaded():
+    # numpy.ma (which np.union1d imports) costs a process about 1.7 MB resident
+    code = (
+        "import sys, gfgm\n"
+        "gfgm.cdf(gfgm.GfgmCopula.comonotone([0.3, 0.5, 0.7]), [0.5, 0.5, 0.5])\n"
+        "assert 'numpy.ma' not in sys.modules"
+    )
+    assert _third_party_modules_after(code) == "[]"
+
+
 def _re_exported_modules():
     """Modules named by the ``from .<module> import *`` lines of ``gfgm/__init__.py``, in order."""
     init = pathlib.Path(gfgm.__file__)
@@ -199,6 +209,15 @@ def test_readme_limits_table_states_the_constants():
     assert count[2] == product[2] == f"`d ≤ {NATURAL_FORM_MAX_D}`"
     assert count[3] == product[3] == f"`d ≤ {MAX_DENSE_DIMENSION}`"
     assert f"within `{SHAPE_ATOL:g}` (`SHAPE_ATOL`)" in readme
+
+
+def test_readme_layout_lists_every_module():
+    root = pathlib.Path(__file__).parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1]
+    listed = re.search(r"src/gfgm/\s+library \(([^)]*)\)", layout).group(1)
+    modules = {path.stem for path in (root / "src" / "gfgm").glob("*.py")} - {"__init__"}
+    assert sorted(name.strip() for name in listed.split(",")) == sorted(modules)
 
 
 @pytest.mark.parametrize("name", REFERENCE_NAMES)
